@@ -3,8 +3,7 @@
 Commands:
 
 * ``simulate`` — run one app through one machine preset and print the
-  result summary (``--fidelity sampled`` extrapolates converged handler
-  classes and reports error bounds; see :mod:`repro.sim.sampling`).
+  result summary.
 * ``run`` — run an (apps × presets) grid as a resumable campaign:
   progress is recorded in a grid manifest, so an interrupted or
   partially-failed campaign picks up where it stopped with
@@ -24,12 +23,16 @@ Commands:
   each app's simulated runs, retry counts, checkpoints written,
   checkpoint resumes and stalled-worker kills); ``--json`` emits the
   machine-readable summary instead of the table.
+
+App, preset and figure names are checked by the parser: an unknown name
+exits with status 2 and the list of valid ones.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -37,8 +40,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.sim.simulator import simulate
 
     config = presets.by_name(args.config)
-    result = simulate(args.app, config, scale=args.scale, seed=args.seed,
-                      fidelity=args.fidelity)
+    result = simulate(args.app, config, scale=args.scale, seed=args.seed)
     r = result
     print(f"app={r.app} config={r.config}")
     print(f"  instructions  {r.instructions:>12,}")
@@ -54,12 +56,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"  hinted events {r.esp.hinted_events:>12,}")
     print(f"  energy        {r.energy.total:>12,.0f} units "
           f"(static {100 * r.energy.static / r.energy.total:.0f}%)")
-    if r.fidelity == "sampled":
-        bound = max(r.error_bounds.values(), default=0.0)
-        print(f"  fidelity      {'sampled':>12} "
-              f"(detailed {r.detailed_events:,} / "
-              f"extrapolated {r.sampled_events:,} events, "
-              f"max error bound {100 * bound:.2f}%)")
     return 0
 
 
@@ -79,8 +75,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     _apply_coord(args)
     runner = ExperimentRunner(scale=args.scale, seed=args.seed,
-                              jobs=args.jobs, backend=args.backend,
-                              fidelity=args.fidelity)
+                              jobs=args.jobs, backend=args.backend)
     if args.resume:
         try:
             resumed = runner.resume_grid()
@@ -127,19 +122,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    from repro.sim.figures import main as figures_main
+    import json
+
+    from repro.sim.experiments import ExperimentRunner
+    from repro.sim.figures import ALL_FIGURES
 
     _apply_coord(args)
-    names = list(args.names)
-    if args.json:
-        names.insert(0, "--json")
-    if args.jobs is not None:
-        names = ["--jobs", str(args.jobs)] + names
-    if args.backend is not None:
-        names = ["--backend", args.backend] + names
-    if args.fidelity is not None:
-        names = ["--fidelity", args.fidelity] + names
-    figures_main(names or None)
+    runner = ExperimentRunner(jobs=args.jobs, backend=args.backend)
+    for name in args.names or list(ALL_FIGURES):
+        figure = ALL_FIGURES[name](runner)
+        if args.json:
+            print(json.dumps(figure.to_dict(), indent=2))
+        else:
+            print(figure.format())
+            print()
     return 0
 
 
@@ -249,32 +245,52 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
+def _one_of(names) -> Callable[[str], str]:
+    """An argparse ``type`` that accepts only ``names``.
+
+    Optional-length positionals use this instead of ``choices``: before
+    Python 3.12, argparse checks their empty default list against
+    ``choices`` and rejects an empty command line."""
+    def check(value: str) -> str:
+        if value not in names:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {value!r} (choose from "
+                f"{', '.join(repr(name) for name in names)})")
+        return value
+
+    return check
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for shell-completion tools)."""
+    from repro.exec import BACKEND_NAMES
+    from repro.sim.figures import ALL_FIGURES
+    from repro.sim.presets import preset_names
+    from repro.workloads import APP_NAMES
+
+    presets = sorted(preset_names())
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Event Sneak Peek (ISCA 2015) reproduction")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run one app through one preset")
-    p.add_argument("app")
-    p.add_argument("--config", default="esp_nl",
-                   help="preset name (default: esp_nl)")
+    p.add_argument("app", choices=APP_NAMES)
+    p.add_argument("--config", default="esp_nl", choices=presets,
+                   metavar="PRESET",
+                   help="preset name (default: esp_nl; `repro presets` "
+                        "lists them)")
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fidelity", default=None,
-                   choices=["full", "sampled"],
-                   help="simulation fidelity (default: REPRO_FIDELITY "
-                        "or full; sampled extrapolates converged "
-                        "handler classes and tags the result with "
-                        "error bounds)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser(
         "run", help="run an (apps × presets) grid as a resumable campaign")
-    p.add_argument("apps", nargs="*",
+    p.add_argument("apps", nargs="*", type=_one_of(APP_NAMES),
+                   metavar="APP",
                    help="app names (default: all benchmark apps)")
     p.add_argument("--config", action="append", default=None,
+                   choices=presets, metavar="PRESET",
                    help="preset name; repeatable "
                         "(default: baseline esp_nl)")
     p.add_argument("--scale", type=float, default=None,
@@ -283,20 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="workload seed (default: REPRO_SEED or 0)")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes (default: REPRO_JOBS or 1)")
-    p.add_argument("--backend", default=None,
-                   choices=["serial", "thread", "process", "remote",
-                            "auto"],
+    p.add_argument("--backend", default=None, choices=BACKEND_NAMES,
                    help="execution backend (default: REPRO_BACKEND, or "
                         "derived from --jobs: process when jobs > 1)")
     p.add_argument("--coord", default=None,
                    help="remote coordinator address HOST:PORT for "
                         "--backend remote (default: REPRO_COORD; unset "
                         "= self-host local workers)")
-    p.add_argument("--fidelity", default=None,
-                   choices=["full", "sampled"],
-                   help="simulation fidelity (default: REPRO_FIDELITY "
-                        "or full; sampled results are cached under "
-                        "separate keys)")
     p.add_argument("--label", default=None,
                    help="label recorded in the grid manifest")
     p.add_argument("--resume", action="store_true",
@@ -305,29 +314,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("figures", help="regenerate the paper's figures")
-    p.add_argument("names", nargs="*",
-                   help="figure ids (default: all), e.g. figure9 figure12")
+    p.add_argument("names", nargs="*", type=_one_of(list(ALL_FIGURES)),
+                   metavar="FIGURE",
+                   help="figure ids (default: all): "
+                        + ", ".join(ALL_FIGURES))
     p.add_argument("--json", action="store_true",
                    help="emit JSON instead of text tables")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes for the simulation grid "
                         "(default: REPRO_JOBS or 1)")
-    p.add_argument("--backend", default=None,
-                   choices=["serial", "thread", "process", "remote",
-                            "auto"],
+    p.add_argument("--backend", default=None, choices=BACKEND_NAMES,
                    help="execution backend for the simulation grid "
                         "(default: REPRO_BACKEND or derived from --jobs)")
     p.add_argument("--coord", default=None,
                    help="remote coordinator address HOST:PORT for "
                         "--backend remote (default: REPRO_COORD)")
-    p.add_argument("--fidelity", default=None,
-                   choices=["full", "sampled"],
-                   help="simulation fidelity for the grid "
-                        "(default: REPRO_FIDELITY or full)")
     p.set_defaults(func=_cmd_figures)
 
     p = sub.add_parser("calibrate", help="workload calibration report")
-    p.add_argument("apps", nargs="*")
+    p.add_argument("apps", nargs="*", type=_one_of(APP_NAMES),
+                   metavar="APP")
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("apps", help="list benchmark applications")
@@ -375,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_worker)
 
     p = sub.add_parser("inspect", help="per-event anatomy of a trace")
-    p.add_argument("app")
+    p.add_argument("app", choices=APP_NAMES)
     p.add_argument("--event", type=int, default=None)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)

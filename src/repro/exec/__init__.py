@@ -3,11 +3,11 @@
 ``ExperimentRunner.run_many`` delegates batch execution to an
 :class:`~repro.exec.base.ExecutionBackend`, selected by the
 ``REPRO_BACKEND`` environment variable (or the ``backend`` constructor
-argument / ``--backend`` CLI flag): ``serial``, ``thread``, ``process``,
-``remote`` (a TCP coordinator feeding ``repro worker`` processes under
-time-bounded leases — :mod:`repro.exec.remote`), or ``auto`` — which
-measures the machine shape (:mod:`repro.exec.auto`) and resolves to one
-of the local three. See :mod:`repro.exec.base` for the interface
+argument / ``--backend`` CLI flag): ``serial``, ``process``, ``remote``
+(a TCP coordinator feeding ``repro worker`` processes under time-bounded
+leases — :mod:`repro.exec.remote`), or ``auto`` — which measures the
+machine shape (:mod:`repro.exec.auto`) and resolves to ``serial`` or
+``process``. See :mod:`repro.exec.base` for the interface
 contract and the per-backend rationale.
 """
 
@@ -16,7 +16,6 @@ from repro.exec.base import (BACKEND_NAMES, ExecutionBackend, SerialBackend,
                              jittered_backoff)
 from repro.exec.process import ProcessBackend
 from repro.exec.remote import RemoteBackend
-from repro.exec.thread import ThreadBackend
 
 __all__ = [
     "BACKEND_NAMES",
@@ -25,7 +24,6 @@ __all__ = [
     "ProcessBackend",
     "RemoteBackend",
     "SerialBackend",
-    "ThreadBackend",
     "auto_pick",
     "jittered_backoff",
     "make_backend",
@@ -33,7 +31,6 @@ __all__ = [
 
 _BACKENDS = {
     "serial": SerialBackend,
-    "thread": ThreadBackend,
     "process": ProcessBackend,
     "remote": RemoteBackend,
 }

@@ -1,7 +1,7 @@
 """Machine-shape measurement for ``REPRO_BACKEND=auto``.
 
-``auto`` is not a fifth execution strategy — it is a picker that resolves
-to ``serial``, ``thread`` or ``process`` from what the machine actually
+``auto`` is not an execution strategy of its own — it is a picker that
+resolves to ``serial`` or ``process`` from what the machine actually
 looks like, instead of from ``REPRO_JOBS`` guesswork. The decision is
 made once per process (memoized) from:
 
@@ -16,7 +16,7 @@ made once per process (memoized) from:
   :data:`ROUNDTRIP_CEILING_S`, overridable via ``REPRO_PROBE_TIMEOUT``
   for loaded CI machines that fork slowly once but run tasks fine —
   (gVisor-style sandboxes — fork costs would dwarf the tasks), the pick
-  degrades to ``thread``; otherwise ``process``.
+  degrades to ``serial``; otherwise ``process``.
 
 Every pick is returned as a :class:`BackendChoice` carrying its inputs,
 and the runner records it as a ``backend-choice`` runlog record, so a
@@ -40,10 +40,10 @@ SPIN_BUDGET_S = 0.02
 
 #: default round-trip ceiling: a worker-process no-op round-trip slower
 #: than this means fork/spawn overhead would dwarf typical grid tasks,
-#: so the pick degrades to threads. ``REPRO_PROBE_TIMEOUT`` overrides it
+#: so the pick degrades to serial. ``REPRO_PROBE_TIMEOUT`` overrides it
 #: (seconds) — loaded CI machines fork slowly *once* while still running
 #: tasks fine, and without the override they misclassify as
-#: "slow workers => thread"
+#: "slow workers => serial"
 ROUNDTRIP_CEILING_S = 1.0
 
 #: memoized picks per (CPU count, probe ceiling) — machine shape does
@@ -160,12 +160,12 @@ def auto_pick(pool_cls=None, cpus: int | None = None) -> BackendChoice:
         roundtrip = _process_roundtrip(pool_cls, ceiling_s=ceiling)
         if roundtrip is None:
             choice = BackendChoice(
-                "thread", cpus, spin, None,
-                "worker processes unavailable: thread pool is the "
-                "widest fan-out that works here")
+                "serial", cpus, spin, None,
+                "worker processes unavailable: in-process is the only "
+                "execution that works here")
         elif roundtrip > ceiling:
             choice = BackendChoice(
-                "thread", cpus, spin, roundtrip,
+                "serial", cpus, spin, roundtrip,
                 f"worker round-trip {roundtrip:.2f}s exceeds "
                 f"{ceiling:.1f}s: process start-up would "
                 "dwarf the tasks")

@@ -67,8 +67,7 @@ class ProcessBackend(ExecutionBackend):
                     worker_log_dir,
                     checkpoint_events=runner.checkpoint_events,
                     heartbeat_timeout=runner.heartbeat_timeout,
-                    mem_limit_mb=runner.mem_limit_mb,
-                    fidelity=runner.fidelity)
+                    mem_limit_mb=runner.mem_limit_mb)
                 meta[future] = (index, key, app)
                 submitted[future] = time.monotonic()
                 pending.add(future)

@@ -132,11 +132,6 @@ MAX_FORWARDED_RECORDS = 10_000
 #: (each retry rides the capped full-jitter backoff)
 FETCH_ATTEMPTS = 3
 
-#: environment knobs forwarded inside task frames — and folded into the
-#: worker-side runner memo key — so a parked worker serving campaigns
-#: with different settings never reuses a stale runner clone
-TASK_ENV_KEYS = ("REPRO_KERNEL", "REPRO_FIDELITY")
-
 _HEADER = struct.Struct(">I")
 
 
@@ -473,14 +468,7 @@ class _Coordinator:
             "checkpoint_events": runner.checkpoint_events,
             "lease_s": self.lease_s,
             "store": self.store_mode,
-            # explicit, not env-derived: the worker recomputes cache keys
-            # from this frame, and sampled/full results must never collide
-            "fidelity": runner.fidelity,
         }
-        env = {name: os.environ[name] for name in TASK_ENV_KEYS
-               if os.environ.get(name)}
-        if env:
-            message["env"] = env
         if self.store_mode == "fetch":
             artifacts = {}
             digest = self._trace_digest(app)
@@ -1461,20 +1449,14 @@ class _Worker:
         Worker hazards arm only in dedicated processes — an in-process
         (test-thread) worker must never ``os._exit`` its host.
 
-        The memo key carries everything that shapes a run: the cache
-        location, campaign shape, *and* the forwarded env overrides
-        (``REPRO_KERNEL`` et al.), so a parked worker serving two
-        campaigns with different settings never reuses a stale clone.
+        The memo key carries everything that shapes a run — the cache
+        location and the campaign shape — so a parked worker serving two
+        campaigns never reuses a stale clone.
         """
         from repro.sim.experiments import ExperimentRunner
-        from repro.sim.kernel import KERNEL_NAMES
-        from repro.sim.sampling import FIDELITY_NAMES
 
         shared = task.get("store", "shared") == "shared" \
             and not self.no_shared_fs
-        env = task.get("env") or {}
-        env_items = tuple(sorted((str(k), str(v))
-                                 for k, v in env.items()))
         if shared:
             cache_dir = task["cache_dir"]
             log_dir = task.get("log_dir")
@@ -1489,13 +1471,9 @@ class _Worker:
                 str(task.get("cache_dir", "")).encode()).hexdigest()[:12]
             cache_dir = str(self._private_cache_dir() / campaign)
             log_dir = None
-        fidelity = task.get("fidelity") or env.get("REPRO_FIDELITY")
-        if fidelity not in FIDELITY_NAMES:
-            fidelity = "full"  # degrade, never crash a parked worker
         spec = (cache_dir, float(task["scale"]), int(task["seed"]),
                 bool(task["use_disk_cache"]), log_dir,
-                int(task.get("checkpoint_events", 0)), shared,
-                env_items, fidelity)
+                int(task.get("checkpoint_events", 0)), shared)
         runner = self._runners.get(spec)
         if runner is None:
             runner = ExperimentRunner(
@@ -1503,12 +1481,9 @@ class _Worker:
                 use_disk_cache=spec[3], jobs=1, backend="serial",
                 task_timeout=None, max_attempts=1, retry_backoff=0.0,
                 log_dir=log_dir, checkpoint_events=spec[5],
-                heartbeat_timeout=0.0, mem_limit_mb=0,
-                fidelity=fidelity)
+                heartbeat_timeout=0.0, mem_limit_mb=0)
             runner.backend_label = "remote"
             runner.is_worker = not self.in_process
-            kernel = env.get("REPRO_KERNEL")
-            runner.kernel = kernel if kernel in KERNEL_NAMES else None
             self._runners[spec] = runner
         return runner
 

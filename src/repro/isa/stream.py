@@ -33,15 +33,9 @@ class PackedStream:
     ``pc >> BLOCK_SHIFT`` precomputed so the fetch path of the simulator's
     hot loop reads one tuple element instead of shifting every pc. Tuples
     (not lists) so a packing can be shared freely between simulators.
-
-    Two lazily-computed derivatives ride along, both pure functions of the
-    content (so sharing stays safe): :meth:`digest` — the content hash the
-    vector kernel chains into its memo tokens — and the segment lowering
-    cached by :func:`repro.isa.segments.lowering_of`.
     """
 
-    __slots__ = ("pc", "kind", "addr", "taken", "target", "block",
-                 "_digest", "_lowering")
+    __slots__ = ("pc", "kind", "addr", "taken", "target", "block")
 
     def __init__(self, pc: Sequence[int] = (), kind: Sequence[int] = (),
                  addr: Sequence[int] = (), taken: Sequence[bool] = (),
@@ -54,8 +48,6 @@ class PackedStream:
         self.target = tuple(target)
         self.block = tuple(block) if block is not None \
             else tuple(p >> BLOCK_SHIFT for p in self.pc)
-        self._digest: int | None = None
-        self._lowering = None
         n = len(self.pc)
         if not (len(self.kind) == len(self.addr) == len(self.taken)
                 == len(self.target) == len(self.block) == n):
@@ -98,21 +90,8 @@ class PackedStream:
                 and self.target == other.target)
 
     def __hash__(self) -> int:
-        return self.digest()
-
-    def digest(self) -> int:
-        """Content hash of the stream, computed once and cached.
-
-        The O(n) tuple hash made ``hash(packed)`` a hot-loop hazard; the
-        vector kernel hashes every event's stream pair per run, so the
-        value is memoized on first use.
-        """
-        digest = self._digest
-        if digest is None:
-            digest = hash((self.pc, self.kind, self.addr, self.taken,
-                           self.target))
-            self._digest = digest
-        return digest
+        return hash((self.pc, self.kind, self.addr, self.taken,
+                     self.target))
 
     def instruction(self, index: int) -> Instruction:
         """Unpack one instruction (for tests and debugging)."""

@@ -410,12 +410,6 @@ class LoadedTrace(TraceBase):
     def handler_fid(self, index: int) -> int:
         return self._index[index].handler_fid
 
-    def event_weight(self, index: int) -> int:
-        """Recorded true-stream instruction count of event ``index`` (no
-        decoding) — the extrapolation covariate used by
-        :mod:`repro.sim.sampling`."""
-        return self._index[index].true_count
-
 
 def parse_trace(payload: bytes, profile=None, image=None) -> LoadedTrace:
     """A :class:`LoadedTrace` over ``payload``, the bytes of a file

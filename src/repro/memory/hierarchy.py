@@ -59,18 +59,9 @@ class _PendingPrefetches:
         self.capacity = capacity
         self.ready_at: dict[int, int] = {}
         self.stats = PrefetchStats()
-        #: when set (a list), every membership-changing operation is
-        #: appended as ``(1, block, ready)`` for issues and ``(0, block,
-        #: 0)`` for consumes — the vector kernel's memo records these so a
-        #: replayed event can re-apply the exact membership evolution via
-        #: :meth:`replay_ops` without re-simulating (see repro.sim.kernel)
-        self.log: list | None = None
 
     def issue(self, block: int, ready_cycle: int) -> None:
         pending = self.ready_at
-        log = self.log
-        if log is not None:
-            log.append((1, block, ready_cycle))
         if block in pending:
             # keep the earlier completion time
             if ready_cycle < pending[block]:
@@ -89,38 +80,11 @@ class _PendingPrefetches:
         ready = self.ready_at.pop(block, None)
         if ready is None:
             return None
-        log = self.log
-        if log is not None:
-            log.append((0, block, 0))
         if ready <= cycle:
             self.stats.useful += 1
             return 0
         self.stats.late += 1
         return ready - cycle
-
-    def replay_ops(self, ops) -> None:
-        """Re-apply a recorded operation log to the pending table.
-
-        Reproduces exactly what the recorded live execution did to
-        membership, completion times and insertion order — including
-        capacity evictions, which re-derive from the replayed state — but
-        leaves the stats counters alone (a memo replay patches those to
-        recorded absolutes instead)."""
-        pending = self.ready_at
-        capacity = self.capacity
-        for op, block, ready in ops:
-            if op == 0:
-                pending.pop(block, None)
-                continue
-            current = pending.get(block)
-            if current is not None:
-                if ready < current:
-                    pending[block] = ready
-                continue
-            if len(pending) >= capacity:
-                oldest = next(iter(pending))
-                del pending[oldest]
-            pending[block] = ready
 
     def clear(self) -> None:
         self.stats.useless += len(self.ready_at)
@@ -250,29 +214,6 @@ class MemoryHierarchy:
     def prefetch_stats(self, side: str) -> PrefetchStats:
         """The prefetch-timeliness counters for side ``"i"`` or ``"d"``."""
         return self._pending[side].stats
-
-    def set_pending_log(self, side: str, log: list | None) -> None:
-        """Attach (or detach, with ``None``) a pending-prefetch operation
-        log for one side — the vector kernel's memo recording hook."""
-        self._pending[side].log = log
-
-    def pending_table(self, side: str) -> "_PendingPrefetches":
-        """The pending-prefetch table for one side (memo replay hook)."""
-        return self._pending[side]
-
-    def state_fingerprint(self) -> tuple:
-        """Cheap occupancy fingerprint used in memo-token derivation.
-
-        Not a full content digest — the vector kernel only consults the
-        memo for virgin simulators, where every structure is empty, so a
-        size/counter summary is enough to key "fresh state" and cheap
-        enough to compute unconditionally."""
-        return (len(self.l1i), len(self.l1d), len(self.l2),
-                self.l1i.stats.accesses, self.l1d.stats.accesses,
-                self.l2.stats.accesses,
-                len(self._pending["i"].ready_at),
-                len(self._pending["d"].ready_at),
-                self._dram_free, self.bandwidth_stall_cycles)
 
     def publish_metrics(self, registry) -> None:
         """Fold the demand-cache hit/miss and prefetch-timeliness counters

@@ -13,10 +13,8 @@ Record kinds (``kind`` field):
 * ``run`` — one simulation request: cache key, app, config name + digest,
   scale, seed, worker pid, cache disposition (``memory`` / ``disk`` /
   ``simulated``), the execution backend context that served it
-  (``serial`` parent / ``thread`` clone / ``process`` worker), the
-  hot-loop kernel used plus its memo replay/record event counts
-  (``simulated`` runs only), and the trace-load / simulate / store
-  timings in seconds.
+  (``serial`` parent / ``process`` worker / ``remote`` worker), and the
+  trace-load / simulate / store timings in seconds.
 * ``retry`` — one task handed back for serial completion, with the reason
   (``worker-died`` / ``timeout`` / ``memory`` / ``error`` — a failed
   attempt that will be re-tried — or ``requeued``, a healthy task that

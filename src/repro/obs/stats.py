@@ -12,13 +12,13 @@ activity (workers joined/left, leases stolen, degradations to a local
 backend; the ``remote —`` summary line) and the artifact-plane activity
 of shared-nothing fleets (``fetch`` records for served transfers,
 ``quarantine-propagated`` records for digests poisoned fleet-wide; the
-``store —`` summary line) and the sampled-fidelity activity (runs served
-at ``fidelity=sampled``, their detailed/extrapolated event split and the
-worst reported error bound; the ``sampling —`` summary line) — as a
-human-readable
-table plus a machine-readable summary dict (``--json``). Every quarantine event the harness performs is
-a ``corrupt`` record, so this report is the audit trail of how much
-on-disk state had to be regenerated.
+``store —`` summary line) — as a human-readable table plus a
+machine-readable summary dict (``--json``). Every quarantine event the
+harness performs is a ``corrupt`` record, so this report is the audit
+trail of how much on-disk state had to be regenerated. Fields this
+module does not know (such as the ``kernel`` / ``memo_*`` / ``fidelity``
+fields of logs written before those mechanisms were removed) are
+ignored, so old logs still summarise.
 """
 
 from __future__ import annotations
@@ -30,9 +30,7 @@ def _fresh_app_bucket() -> dict:
     return {"runs": 0, "simulated": 0, "cache_hits": 0, "retries": 0,
             "requeued": 0, "corruptions": 0, "failures": 0,
             "checkpoints": 0, "resumes": 0,
-            "kernels": {}, "backends": {},
-            "memo_replayed": 0, "memo_recorded": 0,
-            "sampled_runs": 0, "sampled_events": 0, "detailed_events": 0,
+            "backends": {},
             "trace_load_s": 0.0, "simulate_s": 0.0, "store_s": 0.0}
 
 
@@ -52,8 +50,6 @@ def summarize(records) -> dict:
          "remote_steals": int, "remote_degraded": int,
          "store_fetches": int, "store_fetch_bytes": int,
          "store_quarantines": int,
-         "sampled_runs": int, "sampled_events": int,
-         "detailed_events": int, "max_error_bound": float,
          "simulate_s": float, "apps": {app: {...per-app...}}}
 
     Per-app buckets carry run/hit/retry/corruption/failure counts, the
@@ -71,8 +67,6 @@ def summarize(records) -> dict:
     checkpoints = resumes = resume_fallbacks = stalled_kills = 0
     workers_joined = workers_left = steals = remote_degraded = 0
     store_fetches = store_fetch_bytes = store_quarantines = 0
-    sampled_runs = 0
-    max_error_bound = 0.0
     corrupt_by_artifact: dict[str, int] = {}
     backend_choices: dict[str, int] = {}
     for record in records:
@@ -88,33 +82,12 @@ def summarize(records) -> dict:
             else:
                 simulated += 1
                 bucket["simulated"] += 1
-                # pre-kernel logs have no "kernel" field; skip rather
+                # pre-backend logs have no "backend" field; skip rather
                 # than invent an "unknown" bucket for them
-                kernel = record.get("kernel")
-                if kernel:
-                    kernels = bucket["kernels"]
-                    kernels[kernel] = kernels.get(kernel, 0) + 1
-                # likewise pre-backend logs have no "backend" field
                 backend = record.get("backend")
                 if backend:
                     backends = bucket["backends"]
                     backends[backend] = backends.get(backend, 0) + 1
-                for field in ("memo_replayed", "memo_recorded"):
-                    value = record.get(field)
-                    if isinstance(value, int):
-                        bucket[field] += value
-            # sampled-fidelity accounting covers hits too: a sampled
-            # cache hit still served sampled numbers to its consumer
-            if record.get("fidelity") == "sampled":
-                sampled_runs += 1
-                bucket["sampled_runs"] += 1
-                for field in ("sampled_events", "detailed_events"):
-                    value = record.get(field)
-                    if isinstance(value, int):
-                        bucket[field] += value
-                bound = record.get("max_error_bound")
-                if isinstance(bound, (int, float)):
-                    max_error_bound = max(max_error_bound, float(bound))
             for field in ("trace_load_s", "simulate_s", "store_s"):
                 value = record.get(field)
                 if isinstance(value, (int, float)):
@@ -176,21 +149,10 @@ def summarize(records) -> dict:
         bucket["throughput_per_s"] = n_sim / sim_s if sim_s > 0 else 0.0
         bucket["hit_rate"] = (bucket["cache_hits"] / bucket["runs"]
                               if bucket["runs"] else 0.0)
-        # share of the memo-touched events that replayed instead of
-        # simulating (recorded events are the misses of the warm path)
-        memo_events = bucket["memo_replayed"] + bucket["memo_recorded"]
-        bucket["memo_hit_rate"] = (bucket["memo_replayed"] / memo_events
-                                   if memo_events else 0.0)
-    kernels_total: dict[str, int] = {}
     backends_total: dict[str, int] = {}
     for bucket in apps.values():
-        for kernel, count in bucket["kernels"].items():
-            kernels_total[kernel] = kernels_total.get(kernel, 0) + count
         for backend, count in bucket["backends"].items():
             backends_total[backend] = backends_total.get(backend, 0) + count
-    memo_replayed = sum(b["memo_replayed"] for b in apps.values())
-    memo_recorded = sum(b["memo_recorded"] for b in apps.values())
-    memo_events = memo_replayed + memo_recorded
     return {
         "runs": runs,
         "simulated": simulated,
@@ -216,16 +178,6 @@ def summarize(records) -> dict:
         "store_fetches": store_fetches,
         "store_fetch_bytes": store_fetch_bytes,
         "store_quarantines": store_quarantines,
-        "kernels": {k: kernels_total[k] for k in sorted(kernels_total)},
-        "sampled_runs": sampled_runs,
-        "sampled_events": sum(b["sampled_events"] for b in apps.values()),
-        "detailed_events": sum(b["detailed_events"]
-                               for b in apps.values()),
-        "max_error_bound": max_error_bound,
-        "memo_replayed": memo_replayed,
-        "memo_recorded": memo_recorded,
-        "memo_hit_rate": memo_replayed / memo_events if memo_events
-        else 0.0,
         "simulate_s": sum(b["simulate_s"] for b in apps.values()),
         "apps": {app: apps[app] for app in sorted(apps)},
     }
@@ -252,7 +204,7 @@ def format_table(summary: dict) -> str:
         return "no run records found"
     lines = [
         f"{'app':<12} {'runs':>6} {'sim':>6} {'hits':>6} {'hit%':>6} "
-        f"{'memo%':>6} {'sim s':>9} {'mean s':>8} {'sims/s':>8} "
+        f"{'sim s':>9} {'mean s':>8} {'sims/s':>8} "
         f"{'backend':>7} "
         f"{'retry':>5} {'corr':>4} {'fail':>4} {'ckpt':>5} {'res':>4}"
     ]
@@ -260,7 +212,6 @@ def format_table(summary: dict) -> str:
         lines.append(
             f"{app:<12} {b['runs']:>6} {b['simulated']:>6} "
             f"{b['cache_hits']:>6} {100 * b['hit_rate']:>5.1f}% "
-            f"{100 * b.get('memo_hit_rate', 0.0):>5.1f}% "
             f"{b['simulate_s']:>9.3f} {b['mean_simulate_s']:>8.3f} "
             f"{b['throughput_per_s']:>8.2f} "
             f"{_backend_cell(b.get('backends', {})):>7} "
@@ -271,22 +222,12 @@ def format_table(summary: dict) -> str:
         f"{'total':<12} {summary['runs']:>6} {summary['simulated']:>6} "
         f"{summary['cache_hits']:>6} "
         f"{100 * summary['cache_hit_rate']:>5.1f}% "
-        f"{100 * summary.get('memo_hit_rate', 0.0):>5.1f}% "
         f"{summary['simulate_s']:>9.3f} {'':>8} {'':>8} "
         f"{_backend_cell(summary.get('backends', {})):>7} "
         f"{summary['retries']:>5} {summary.get('corruptions', 0):>4} "
         f"{summary.get('task_failures', 0):>4} "
         f"{summary.get('checkpoints', 0):>5} "
         f"{summary.get('resumes', 0):>4}")
-    if summary.get("kernels"):
-        detail = ", ".join(f"{kernel}: {count}" for kernel, count
-                           in summary["kernels"].items())
-        memo = ""
-        if summary.get("memo_replayed") or summary.get("memo_recorded"):
-            memo = (f" — memo events replayed: "
-                    f"{summary.get('memo_replayed', 0)}, recorded: "
-                    f"{summary.get('memo_recorded', 0)}")
-        lines.append(f"kernels — {detail}{memo}")
     if summary.get("backends") or summary.get("backend_choices"):
         parts = ", ".join(f"{backend}: {count}" for backend, count
                           in summary.get("backends", {}).items())
@@ -308,13 +249,6 @@ def format_table(summary: dict) -> str:
             f"generation fallbacks: {summary.get('resume_fallbacks', 0)}, "
             f"stalled workers killed: {summary.get('stalled_kills', 0)}, "
             f"tasks requeued: {summary.get('requeued', 0)}")
-    if summary.get("sampled_runs"):
-        lines.append(
-            f"sampling — sampled runs: {summary['sampled_runs']}, "
-            f"events detailed: {summary.get('detailed_events', 0)}, "
-            f"extrapolated: {summary.get('sampled_events', 0)}, "
-            f"max error bound: "
-            f"{100 * summary.get('max_error_bound', 0.0):.2f}%")
     if summary.get("remote_workers_joined") \
             or summary.get("remote_steals") \
             or summary.get("remote_degraded"):

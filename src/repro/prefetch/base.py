@@ -31,11 +31,3 @@ class Prefetcher(abc.ABC):
         """
         return {}
 
-    def state_digest(self) -> tuple:
-        """Hashable summary of the learned state, for memo-key derivation
-        (see :mod:`repro.sim.kernel`). Default: the sorted state dict
-        items — small prefetchers (next-line, DCU) get an exact digest
-        for free; table-based ones should override with something cheaper
-        if they ever join the memo-eligible set."""
-        return tuple(sorted(self.state_dict().items(),
-                            key=lambda item: item[0]))

@@ -19,13 +19,6 @@ applies solely to artifacts that failed verification.
 Checkpoint writes honour the same ``torn_write`` fault injection as the
 result cache, which is how the chaos suite proves the generational
 fallback actually recovers.
-
-The vector kernel's segment memo (:data:`repro.sim.kernel.MEMO`) is
-*derived* state and deliberately absent from checkpoint payloads: a
-restored simulator marks itself non-virgin, so the resumed run neither
-replays from nor records into the memo — it executes live, and the
-equivalence suite pins the resumed result bit-identical to the
-uninterrupted one regardless of which kernel either run used.
 """
 
 from __future__ import annotations

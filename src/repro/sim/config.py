@@ -263,51 +263,6 @@ class BranchPredictorConfig:
 
 
 @dataclass(frozen=True)
-class SamplingConfig:
-    """Knobs for ``--fidelity sampled`` (see :mod:`repro.sim.sampling`).
-
-    Deliberately *not* a :class:`SimConfig` field: fidelity describes how
-    faithfully a configuration is simulated, not what hardware it models,
-    so it must never perturb ``SimConfig.cache_key()`` (sampled results
-    are segregated from full ones by an explicit cache-key tag instead).
-    """
-
-    #: detailed events of a handler class before steady state may be
-    #: declared for it
-    min_detailed: int = 8
-    #: sliding-window length (detailed events) for the convergence check
-    window: int = 6
-    #: coefficient-of-variation ceiling across the window's per-event
-    #: rate metrics below which a class counts as converged
-    cv_threshold: float = 0.2
-    #: extrapolated events of a class between forced detailed probes
-    probe_every: int = 50
-    #: relative deviation of a probe's rate metrics from the learned
-    #: window mean that re-arms detailed mode (phase change)
-    drift_tolerance: float = 0.5
-    #: z-score of the reported confidence interval (1.96 = 95 %)
-    confidence_z: float = 1.96
-
-    def __post_init__(self) -> None:
-        if self.min_detailed < 2:
-            raise ValueError("min_detailed must be >= 2 (variance needs "
-                             "at least two samples)")
-        if self.window < 2:
-            raise ValueError("window must be >= 2")
-        if self.cv_threshold <= 0 or self.probe_every < 1:
-            raise ValueError("cv_threshold must be positive and "
-                             "probe_every >= 1")
-        if self.drift_tolerance < 0:
-            raise ValueError("drift_tolerance must be >= 0")
-        if self.confidence_z <= 0:
-            raise ValueError("confidence_z must be positive")
-
-    def key(self) -> tuple:
-        """Hashable identity for the cross-run model store."""
-        return dataclasses.astuple(self)
-
-
-@dataclass(frozen=True)
 class SimConfig:
     """Complete configuration for one simulation run."""
 

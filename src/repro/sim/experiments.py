@@ -14,10 +14,10 @@ the same workload share one cache entry.
 
 Grids fan out through a pluggable execution backend
 (:mod:`repro.exec`): ``REPRO_BACKEND`` (or the ``backend`` constructor
-argument / ``--backend`` CLI flag) selects ``serial``, ``thread``,
-``process``, ``remote`` (socket-connected ``repro worker`` processes
-under time-bounded leases — see :mod:`repro.exec.remote`), or ``auto``
-— which measures the machine shape and picks one of the local three.
+argument / ``--backend`` CLI flag) selects ``serial``, ``process``,
+``remote`` (socket-connected ``repro worker`` processes under
+time-bounded leases — see :mod:`repro.exec.remote`), or ``auto`` —
+which measures the machine shape and picks ``serial`` or ``process``.
 When no backend is named, it derives from the
 worker count: ``REPRO_JOBS`` (or the ``jobs`` constructor argument /
 ``--jobs`` CLI flag) above 1 means ``process``, the historical
@@ -125,7 +125,6 @@ from repro.resilience import (CheckpointStore, GridManifest, Heartbeat,
                               unwrap_result, wrap_result)
 from repro.sim.config import SimConfig
 from repro.sim.results import RESULT_SCHEMA, SimResult
-from repro.sim.sampling import FIDELITY_NAMES, fidelity_from_env
 from repro.sim.simulator import Simulator
 from repro.workloads import APP_NAMES, EventTrace, get_app
 
@@ -338,8 +337,7 @@ def _run_remote(app: str, config: SimConfig, scale: float, seed: int,
                 log_dir: str | None = None, attempt: int = 1,
                 checkpoint_events: int | None = None,
                 heartbeat_timeout: float | None = None,
-                mem_limit_mb: int | None = None,
-                fidelity: str | None = None) -> dict:
+                mem_limit_mb: int | None = None) -> dict:
     """Worker-process entry point: run one simulation, sharing the on-disk
     caches — and the JSONL run log — with the parent (module-level so it
     pickles under fork and spawn alike). ``attempt`` distinguishes retries
@@ -358,8 +356,7 @@ def _run_remote(app: str, config: SimConfig, scale: float, seed: int,
                               log_dir=log_dir,
                               checkpoint_events=checkpoint_events,
                               heartbeat_timeout=heartbeat_timeout,
-                              mem_limit_mb=mem_limit_mb,
-                              fidelity=fidelity)
+                              mem_limit_mb=mem_limit_mb)
     runner.is_worker = True
     runner.worker_attempt = attempt
     runner.backend_label = "process"
@@ -392,12 +389,10 @@ class ExperimentRunner:
                  checkpoint_events: int | None = None,
                  heartbeat_timeout: float | None = None,
                  min_disk_mb: int | None = None,
-                 mem_limit_mb: int | None = None,
-                 fidelity: str | None = None) -> None:
+                 mem_limit_mb: int | None = None) -> None:
         """``backend`` (or ``REPRO_BACKEND``) names the execution
-        backend for grid batches — ``serial``, ``thread``, ``process``,
-        ``remote`` or ``auto`` (see :mod:`repro.exec`); unset, it
-        derives from the
+        backend for grid batches — ``serial``, ``process``, ``remote`` or
+        ``auto`` (see :mod:`repro.exec`); unset, it derives from the
         worker count. ``task_timeout`` (or ``REPRO_TASK_TIMEOUT``) bounds each
         task attempt; ``max_attempts`` / ``retry_backoff`` (or
         ``REPRO_MAX_ATTEMPTS`` / ``REPRO_RETRY_BACKOFF``) shape the retry
@@ -408,19 +403,9 @@ class ExperimentRunner:
         sets the mid-simulation checkpoint cadence, ``heartbeat_timeout``
         (``REPRO_HEARTBEAT_TIMEOUT``) arms the stalled-worker watchdog,
         and ``min_disk_mb`` / ``mem_limit_mb`` (``REPRO_MIN_DISK_MB`` /
-        ``REPRO_MEM_LIMIT_MB``) set the resource-pressure guards.
-        ``fidelity`` (or ``REPRO_FIDELITY``) selects full-detail or
-        sampled simulation (:mod:`repro.sim.sampling`); sampled results
-        live under cache keys with an explicit ``-sampled`` tag, so the
-        two fidelities can never collide in the result cache."""
+        ``REPRO_MEM_LIMIT_MB``) set the resource-pressure guards."""
         self.scale = float(default_scale() if scale is None else scale)
         self.seed = default_seed() if seed is None else seed
-        if fidelity is not None and fidelity not in FIDELITY_NAMES:
-            raise ValueError(
-                f"unknown fidelity {fidelity!r} "
-                f"(expected one of {', '.join(FIDELITY_NAMES)})")
-        self.fidelity = fidelity if fidelity is not None \
-            else (fidelity_from_env() or "full")
         self.cache_dir = Path(cache_dir) if cache_dir is not None \
             else default_cache_dir()
         self.use_disk_cache = use_disk_cache
@@ -464,8 +449,8 @@ class ExperimentRunner:
         self.backend_choice = None
         self._backend_impl = None
         #: execution context stamped on this runner's run records:
-        #: "serial" (parent / inline), "thread" (pool-thread clones),
-        #: "process" (worker processes), "remote" (socket workers)
+        #: "serial" (parent / inline), "process" (worker processes),
+        #: "remote" (socket workers)
         self.backend_label = "serial"
         self.task_timeout = default_task_timeout() if task_timeout is None \
             else (task_timeout if task_timeout > 0 else None)
@@ -507,11 +492,6 @@ class ExperimentRunner:
         #: never run on the parent's inline path
         self.is_worker = False
         self.worker_attempt = 1
-        #: explicit kernel override (wins over ``REPRO_KERNEL``) — set by
-        #: remote workers from the task frame's forwarded env, so a
-        #: parked worker honours the campaign's kernel without mutating
-        #: its own process environment
-        self.kernel: str | None = None
         #: artifact-plane handle (:class:`repro.exec.remote
         #: ._ArtifactClient`) a shared-nothing worker installs per task:
         #: :meth:`trace` resolves disk misses through it before
@@ -525,7 +505,6 @@ class ExperimentRunner:
         self._memory: dict[str, SimResult] = {}
         self._traces: dict[str, EventTrace | LoadedTrace] = {}
         self._timings = (0.0, 0.0)
-        self._last_kernel = ("", 0, 0)
         if self.use_disk_cache:
             self._check_disk_space()
             self._sweep_stale_tmp()
@@ -710,12 +689,8 @@ class ExperimentRunner:
     # -- runs -----------------------------------------------------------------
 
     def _key(self, app: str, config: SimConfig) -> str:
-        # sampled results are estimates with error bounds, not exact
-        # measurements: the explicit tag keeps them from ever answering
-        # (or poisoning) a full-fidelity cache lookup, and vice versa
-        tag = "-sampled" if self.fidelity == "sampled" else ""
         return (f"{app}-{config.cache_key()}-s{self._scale_tag()}"
-                f"-r{self.seed}-{RESULT_SCHEMA}{tag}")
+                f"-r{self.seed}-{RESULT_SCHEMA}")
 
     def _load_cached(self, key: str) -> SimResult | None:
         cached = self._memory.get(key)
@@ -743,7 +718,7 @@ class ExperimentRunner:
         if cached is not None:
             self.metrics.inc("cache.result.hit")
             self._log_run(key, app, config,
-                          "memory" if in_memory else "disk", result=cached)
+                          "memory" if in_memory else "disk")
         return cached
 
     def _store(self, key: str, result: SimResult) -> None:
@@ -771,32 +746,19 @@ class ExperimentRunner:
 
     def _log_run(self, key: str, app: str, config: SimConfig, cache: str,
                  trace_load_s: float = 0.0, simulate_s: float = 0.0,
-                 store_s: float = 0.0,
-                 result: SimResult | None = None) -> None:
+                 store_s: float = 0.0) -> None:
         """Append one ``run`` record (no-op when logging is disabled)."""
         if not self._runlog.enabled:
             return
-        kernel, memo_replayed, memo_recorded = \
-            self._last_kernel if cache == "simulated" else ("", 0, 0)
-        record = {
+        self._runlog.write({
             "kind": "run", "ts": round(time.time(), 3), "key": key,
             "app": app, "config": config.name,
             "config_digest": config.cache_key(), "scale": self.scale,
             "seed": self.seed, "pid": os.getpid(), "cache": cache,
             "backend": self.backend_label,
-            "fidelity": result.fidelity if result is not None
-            else self.fidelity,
-            "kernel": kernel, "memo_replayed": memo_replayed,
-            "memo_recorded": memo_recorded,
             "trace_load_s": round(trace_load_s, 6),
             "simulate_s": round(simulate_s, 6),
-            "store_s": round(store_s, 6)}
-        if result is not None and result.fidelity == "sampled":
-            record["sampled_events"] = result.sampled_events
-            record["detailed_events"] = result.detailed_events
-            record["max_error_bound"] = round(
-                max(result.error_bounds.values(), default=0.0), 6)
-        self._runlog.write(record)
+            "store_s": round(store_s, 6)})
 
     def _log_retry(self, key: str, app: str, reason: str) -> None:
         """Append one ``retry`` record (no-op when logging is disabled)."""
@@ -831,7 +793,7 @@ class ExperimentRunner:
         self._store(key, result)
         store_s = time.perf_counter() - t0
         self._log_run(key, app, config, "simulated",
-                      trace_load_s, simulate_s, store_s, result=result)
+                      trace_load_s, simulate_s, store_s)
         return result
 
     def _simulate(self, app: str, config: SimConfig,
@@ -840,8 +802,7 @@ class ExperimentRunner:
         t0 = time.perf_counter()
         trace = self.trace(app)
         t1 = time.perf_counter()
-        sim = Simulator(trace, config, kernel=self.kernel,
-                        fidelity=self.fidelity)
+        sim = Simulator(trace, config)
         store = self._arm_checkpoints(sim, checkpoint_key, app)
         result = sim.run(**run_kwargs)
         if store is not None:
@@ -851,9 +812,6 @@ class ExperimentRunner:
         # name the result after the preset for readable reports
         result.config = config.name
         self._timings = (t1 - t0, time.perf_counter() - t1)
-        self._last_kernel = (sim.kernel_used or "",
-                             sim.memo_events_replayed,
-                             sim.memo_events_recorded)
         return result
 
     # -- mid-simulation resilience ---------------------------------------------
@@ -1013,26 +971,6 @@ class ExperimentRunner:
         record.update(choice.to_record())
         self._runlog.write(record)
 
-    def _thread_clone(self) -> "ExperimentRunner":
-        """A serial runner for one pool thread of the thread backend:
-        same caches, scale, seed and logging as the parent, but never a
-        pool of its own, no retry ladder (the parent owns attempt
-        accounting), and — critically — ``is_worker`` stays False, so
-        the worker-process hazards (memory rlimits, heartbeats, mid-sim
-        fault hooks that ``os._exit`` or stall their process) are never
-        armed inside the parent interpreter."""
-        clone = ExperimentRunner(
-            cache_dir=self.cache_dir, scale=self.scale, seed=self.seed,
-            use_disk_cache=self.use_disk_cache, jobs=1, backend="serial",
-            task_timeout=None, max_attempts=1, retry_backoff=0.0,
-            log_dir=self._runlog.log_dir if self._runlog.enabled else None,
-            checkpoint_events=self.checkpoint_events,
-            heartbeat_timeout=0.0, min_disk_mb=self.min_disk_mb,
-            mem_limit_mb=0, fidelity=self.fidelity)
-        clone.backend_label = "thread"
-        clone.cache_writes_enabled = self.cache_writes_enabled
-        return clone
-
     # -- fan-out accounting (the backends call back into these) ----------------
 
     def _note_timeout(self, key: str, app: str) -> None:
@@ -1161,10 +1099,9 @@ class ExperimentRunner:
         completed serially in the parent, timeout-bounded, with retries
         and exponential backoff) — and are bit-identical across
         backends: each simulation is a pure function of its key, and
-        workers (processes and thread clones alike) share the parent's
-        on-disk caches via atomic writes. If the platform cannot spawn
-        the backend's workers (restricted sandboxes), the batch silently
-        degrades to serial execution.
+        workers share the parent's on-disk caches via atomic writes. If
+        the platform cannot spawn the backend's workers (restricted
+        sandboxes), the batch silently degrades to serial execution.
 
         The batch's tasks are recorded in a grid manifest under
         ``<cache>/manifests/`` whose statuses update atomically as tasks
@@ -1348,7 +1285,7 @@ class ExperimentRunner:
                 # the serial retry runs one task at full fan-in: lifting
                 # the per-worker ceiling here is the "reduced fan-out"
                 # that lets a memory-evicted task finish
-                mem_limit_mb=0, fidelity=self.fidelity)
+                mem_limit_mb=0)
             try:
                 payload = future.result(timeout=self.task_timeout)
             except FutureTimeoutError:
@@ -1399,8 +1336,7 @@ class ExperimentRunner:
                 jobs=self.jobs, backend=self.backend_requested,
                 task_timeout=self.task_timeout,
                 max_attempts=self.max_attempts,
-                retry_backoff=self.retry_backoff,
-                fidelity=self.fidelity)
+                retry_backoff=self.retry_backoff)
         manifest.reset_failed()
         pairs = [(task["app"], config_from_dict(task["config"]))
                  for task in manifest.tasks_in_order()]

@@ -382,66 +382,3 @@ ALL_FIGURES = {
     "figure14": figure14,
     "headline": headline,
 }
-
-
-def main(argv: list[str] | None = None) -> None:  # pragma: no cover
-    """Regenerate figures from the command line:
-
-        python -m repro.sim.figures figure9 figure12
-        python -m repro.sim.figures --json figure9
-        python -m repro.sim.figures --jobs 4 figure9
-        python -m repro.sim.figures --backend auto figure9
-
-    ``--jobs N`` (or ``REPRO_JOBS``) fans the underlying simulations over
-    N workers; ``--backend`` (or ``REPRO_BACKEND``) picks the execution
-    backend that does the fanning (serial / thread / process / auto);
-    ``--fidelity sampled`` (or ``REPRO_FIDELITY``) runs the grid at
-    sampled fidelity (results cached under separate keys).
-    """
-    import json
-    import sys
-
-    args = list(argv if argv is not None else sys.argv[1:])
-    as_json = "--json" in args
-    if as_json:
-        args.remove("--json")
-    jobs = None
-    if "--jobs" in args:
-        at = args.index("--jobs")
-        try:
-            jobs = int(args[at + 1])
-        except (IndexError, ValueError):
-            raise SystemExit("--jobs requires an integer argument")
-        del args[at:at + 2]
-    backend = None
-    if "--backend" in args:
-        at = args.index("--backend")
-        try:
-            backend = args[at + 1]
-        except IndexError:
-            raise SystemExit("--backend requires an argument "
-                             "(serial / thread / process / auto)")
-        del args[at:at + 2]
-    fidelity = None
-    if "--fidelity" in args:
-        at = args.index("--fidelity")
-        try:
-            fidelity = args[at + 1]
-        except IndexError:
-            raise SystemExit("--fidelity requires an argument "
-                             "(full / sampled)")
-        del args[at:at + 2]
-    wanted = args or list(ALL_FIGURES)
-    runner = ExperimentRunner(jobs=jobs, backend=backend,
-                              fidelity=fidelity)
-    for name in wanted:
-        figure = ALL_FIGURES[name](runner)
-        if as_json:
-            print(json.dumps(figure.to_dict(), indent=2))
-        else:
-            print(figure.format())
-            print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

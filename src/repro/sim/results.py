@@ -120,13 +120,6 @@ class SimResult:
     # side paths
     esp: EspStats = field(default_factory=EspStats)
     energy: EnergyBreakdown = field(default_factory=EnergyBreakdown)
-    # fidelity tagging (:mod:`repro.sim.sampling`) — "full" results are
-    # exact; "sampled" results carry per-metric relative 95 % error
-    # bounds and the detailed/extrapolated event split
-    fidelity: str = "full"
-    detailed_events: int = 0
-    sampled_events: int = 0
-    error_bounds: dict = field(default_factory=dict)
 
     # -- derived metrics -----------------------------------------------------
 

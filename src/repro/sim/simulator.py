@@ -14,17 +14,12 @@ interval model described in ``DESIGN.md``:
 * mispredicted branches pay the 15-cycle flush, BTB misses on unconditional
   direct branches a short decode bubble.
 
-The per-instruction loop has three implementations that produce
-bit-identical results: the *object path* walks ``list[Instruction]``
-streams; the *packed path* walks :class:`~repro.isa.stream.PackedStream`
-struct-of-arrays with locals-bound counters — roughly half the interpreter
-overhead per retired instruction; and the *vector path*
-(:mod:`repro.sim.kernel`, the default for the configurations it covers)
-batches pre-lowered instruction segments and memoizes whole-event outcomes
-keyed by execution history. ``use_packed=False`` forces the object path
-(the compatibility reference the equivalence tests compare against); the
-``kernel`` constructor argument or the ``REPRO_KERNEL`` environment knob
-(``object`` / ``packed`` / ``vector``) pins a specific loop.
+The per-instruction loop has two implementations that produce
+bit-identical results: the *packed path* (the default) walks
+:class:`~repro.isa.stream.PackedStream` struct-of-arrays with locals-bound
+counters — roughly half the interpreter overhead per retired instruction;
+the *object path* walks ``list[Instruction]`` streams and is kept as the
+test oracle the equivalence tests compare against (``kernel="object"``).
 
 Exposed LLC-miss stalls are handed to the configured side path — the ESP
 controller (pre-execute queued events) or the runahead controller
@@ -64,24 +59,8 @@ from repro.prefetch import (
     StridePrefetcher,
 )
 from repro.runahead import RunaheadController
-from repro.sim.config import SamplingConfig, SimConfig
-from repro.sim.kernel import (
-    KERNEL_NAMES,
-    MemoRestart,
-    VectorKernel,
-    kernel_from_env,
-)
+from repro.sim.config import SimConfig
 from repro.sim.results import EventProfile, SimResult
-from repro.sim.sampling import (
-    FIDELITY_NAMES,
-    EventSampler,
-    apply_increments,
-    delta_counters,
-    fidelity_from_env,
-    publish_sampler,
-    sampler_for,
-    snapshot_counters,
-)
 from repro.workloads.apps import AppProfile
 from repro.workloads.generator import EventTrace
 
@@ -90,65 +69,34 @@ from repro.workloads.generator import EventTrace
 #: (and quarantined by the store) instead of misrestored
 CHECKPOINT_VERSION = 1
 
+#: the hot-loop implementations :class:`Simulator` accepts as ``kernel``
+KERNEL_NAMES = ("object", "packed")
+
 
 class Simulator:
     """Runs one (trace, configuration) pair."""
 
     def __init__(self, trace: EventTrace | AppProfile, config: SimConfig,
                  scale: float = 1.0, seed: int = 0,
-                 schedule=None, use_packed: bool | None = None,
-                 kernel: str | None = None,
-                 fidelity: str | None = None,
-                 sampling: SamplingConfig | None = None) -> None:
+                 schedule=None, kernel: str = "packed") -> None:
         """``schedule`` (an :class:`~repro.runtime.ExecutionSchedule`)
         replays the trace's events in an arbitrary runtime-decided order
         with explicit next-event predictions — the multi-queue extension of
         Section 4.5. Omitted: in-order execution with perfect prediction.
 
-        ``use_packed`` selects between the legacy hot loops: ``None``
-        (auto) takes the fastest eligible path, ``False`` forces the
-        object-stream compatibility path, ``True`` pins the packed loop.
-        ``kernel`` names a loop explicitly (``"object"`` / ``"packed"`` /
-        ``"vector"``); when omitted the ``REPRO_KERNEL`` environment knob
-        is consulted, and with neither set the fastest eligible kernel
-        wins (see :meth:`_resolve_kernel`).
-
-        ``fidelity`` selects between exact simulation (``"full"``, the
-        default) and sampled simulation with live extrapolation
-        (``"sampled"``, :mod:`repro.sim.sampling`); when omitted the
-        ``REPRO_FIDELITY`` environment knob is consulted. ``sampling``
-        tunes the sampled mode's convergence/probing knobs.
+        ``kernel`` names the hot loop: ``"packed"`` (the default) or
+        ``"object"``, the bit-identical reference the equivalence tests
+        compare against.
         """
         if isinstance(trace, AppProfile):
             trace = EventTrace(trace, scale=scale, seed=seed)
         self.trace = trace
         self.schedule = schedule
         self.config = config
-        self.use_packed = use_packed
-        if kernel is not None and kernel not in KERNEL_NAMES:
+        if kernel not in KERNEL_NAMES:
             raise ValueError(f"unknown kernel {kernel!r} "
                              f"(expected one of {', '.join(KERNEL_NAMES)})")
         self.kernel = kernel
-        if fidelity is not None and fidelity not in FIDELITY_NAMES:
-            raise ValueError(
-                f"unknown fidelity {fidelity!r} "
-                f"(expected one of {', '.join(FIDELITY_NAMES)})")
-        self.fidelity = fidelity
-        self.sampling = sampling
-        #: set by :meth:`run`: the fidelity actually used
-        self.fidelity_used: str | None = None
-        self._sampler: EventSampler | None = None
-        self._pending_sampler: EventSampler | None = None
-        #: set by :meth:`run`: the hot-loop implementation actually used
-        self.kernel_used: str | None = None
-        #: set by :meth:`run` under the vector kernel: events satisfied
-        #: from / recorded into the segment memo
-        self.memo_events_replayed = 0
-        self.memo_events_recorded = 0
-        # the memo may only engage on a simulator whose microarchitectural
-        # state is provably the fresh-construction state: False as soon as
-        # a run starts or a checkpoint is restored
-        self._virgin = True
         self.hierarchy = MemoryHierarchy(config.memory)
         self.predictor = PentiumMPredictor(config.branch)
         self.result = SimResult(app=trace.profile.name, config=config.name)
@@ -255,74 +203,13 @@ class Simulator:
 
     # -- main loop ---------------------------------------------------------------
 
-    def _resolve_fidelity(self) -> str:
-        """An explicit ``fidelity`` constructor argument wins, then the
-        ``REPRO_FIDELITY`` environment knob; the default is exact full
-        detail."""
-        if self.fidelity is not None:
-            return self.fidelity
-        return fidelity_from_env() or "full"
-
-    def _resolve_kernel(self) -> str:
-        """Pick the hot-loop implementation for this run.
-
-        Resolution order: ``use_packed=False`` forces the object path;
-        an explicit ``kernel`` constructor argument wins next;
-        then a legacy ``use_packed=True`` pins the packed loop; then the
-        ``REPRO_KERNEL`` environment knob; finally auto — the vector
-        kernel whenever the configuration is vector-eligible (no
-        ESP/runahead side path, no table-based prefetchers), the packed
-        loop otherwise. A ``vector`` request on an ineligible
-        configuration also falls back to packed: the request names a
-        preference, and eligibility is a property of the config.
-
-        Sampled fidelity makes every configuration vector-ineligible:
-        extrapolated events break the memo's execution-history token
-        chain (the events the kernel would key on are never run), so
-        sampled runs use the packed loop for their detailed events.
-        """
-        if self.use_packed is False:
-            return "object"
-        requested = self.kernel
-        if requested is None:
-            if self.use_packed is True:
-                return "packed"
-            requested = kernel_from_env()
-        if requested in ("object", "packed"):
-            return requested
-        eligible = (self.esp is None and self.runahead is None
-                    and self.stride is None and self.efetch is None
-                    and self.pif is None
-                    and self.fidelity_used != "sampled")
-        return "vector" if eligible else "packed"
-
-    def _reset_for_restart(self) -> None:
-        """Rebuild every stateful component from scratch for the live
-        re-run after a :class:`~repro.sim.kernel.MemoRestart` (memo
-        replay left caches/predictor stale; only a fresh start is exact).
-        Restarts only happen on vector-eligible configurations, so the
-        ESP/runahead controllers and table prefetchers (all ``None``
-        here) never need rebuilding.
-        """
-        config = self.config
-        self.hierarchy = MemoryHierarchy(config.memory)
-        self.predictor = PentiumMPredictor(config.branch)
-        self.stall_model = DataStallModel(config.core)
-        pf = config.prefetch
-        self.nl_i = NextLineIPrefetcher(pf.next_line_i_degree) \
-            if pf.next_line_i else None
-        self.dcu = DcuPrefetcher(pf.dcu_trigger) if pf.next_line_d else None
-        self.result = SimResult(app=self.trace.profile.name,
-                                config=config.name)
-        self.normal_i_working_sets.clear()
-        self.normal_d_working_sets.clear()
-        self.event_profiles.clear()
-
     def run(self, warmup_fraction: float = 0.2,
             max_events: int | None = None) -> SimResult:
         """Simulate the trace and return the measured statistics."""
         trace = self.trace
         config = self.config
+        result = self.result
+        predictor = self.predictor
         esp = self.esp
         replay = esp.replay if esp is not None else None
 
@@ -333,199 +220,97 @@ class Simulator:
         if max_events is not None:
             order = order[:max_events]
         n_events = len(order)
-        computed_warmup = min(max(4, round(n_events * warmup_fraction)),
-                              max(0, n_events - 1))
+        warmup_events = min(max(4, round(n_events * warmup_fraction)),
+                            max(0, n_events - 1))
 
-        self.fidelity_used = self._resolve_fidelity()
-        sampler: EventSampler | None = None
-        if self.fidelity_used == "sampled":
-            if self._pending_sampler is not None:
-                # checkpoint restore: continue the checkpointed sampler
-                sampler = self._pending_sampler
-                self._pending_sampler = None
-            else:
-                sampler = sampler_for(trace, config, self.sampling)
-        self._sampler = sampler
-
-        kernel_name = self._resolve_kernel()
-        self.kernel_used = kernel_name
-        virgin = self._virgin
-        self._virgin = False
-        self.memo_events_replayed = 0
-        self.memo_events_recorded = 0
-        kern = None
-        if kernel_name == "vector":
-            # recording and replay both require the fresh-construction
-            # state the memo token chain starts from; replay additionally
-            # forbids an armed checkpoint sink (a checkpoint must capture
-            # live caches, which a replay streak leaves stale)
-            kern = VectorKernel(
-                self, record=virgin,
-                replay=virgin and self.checkpoint_sink is None)
-        fast_path = kernel_name == "packed"
-        vector_path = kernel_name == "vector"
+        fast_path = self.kernel == "packed"
         packed_looper_of = getattr(trace, "packed_looper_stream", None)
 
-        while True:
-            result = self.result
-            predictor = self.predictor
+        cycle = 0.0
+        cycle_offset = 0.0
+        cur_block = -1
+        start = 0
+        resume = self._pending_restore
+        if resume is not None:
+            self._pending_restore = None
+            if resume["n_events"] != n_events:
+                raise ValueError(
+                    f"checkpoint covers {resume['n_events']} events, "
+                    f"this run has {n_events}")
+            start = resume["position"]
+            # the checkpointed warmup boundary overrides the computed one,
+            # so a resume past warm-up never re-fires the measurement reset
+            warmup_events = resume["warmup_events"]
+            cycle = resume["cycle"]
+            cycle_offset = resume["cycle_offset"]
+            cur_block = resume["cur_block"]
 
-            warmup_events = computed_warmup
-            cycle = 0.0
-            cycle_offset = 0.0
-            cur_block = -1
-            start = 0
-            resume = self._pending_restore
-            if resume is not None:
-                self._pending_restore = None
-                if resume["n_events"] != n_events:
-                    raise ValueError(
-                        f"checkpoint covers {resume['n_events']} events, "
-                        f"this run has {n_events}")
-                start = resume["position"]
-                # the checkpointed warmup boundary overrides the computed
-                # one, so a resume past warm-up never re-fires the
-                # measurement reset
-                warmup_events = resume["warmup_events"]
-                cycle = resume["cycle"]
-                cycle_offset = resume["cycle_offset"]
-                cur_block = resume["cur_block"]
+        checkpoint_every = self.checkpoint_every
+        checkpoint_sink = self.checkpoint_sink
+        event_hook = self.event_hook
 
-            checkpoint_every = self.checkpoint_every
-            checkpoint_sink = self.checkpoint_sink
-            event_hook = self.event_hook
+        for position in range(start, n_events):
+            k = order[position]
+            if position == warmup_events:
+                self._reset_measurement()
+                predictor.predictions = 0
+                predictor.mispredictions = 0
+                # keep the clock monotonic: timestamps (prefetch ready
+                # times, outstanding-miss windows) are absolute
+                cycle_offset = cycle
+            if esp is not None:
+                esp.begin_event(k, int(cycle), position=position)
+            event_start = (cycle, result.instructions, result.stall_ifetch,
+                           result.stall_data, result.stall_branch)
+            event = trace.event(k)
+            if event.diverged:
+                result.esp.diverged_events += 1
+            wset_i: set[int] | None = set() \
+                if self.collect_working_sets else None
+            wset_d: set[int] | None = set() \
+                if self.collect_working_sets else None
 
-            try:
-                for position in range(start, n_events):
-                    k = order[position]
-                    if position == warmup_events:
-                        self._reset_measurement()
-                        predictor.predictions = 0
-                        predictor.mispredictions = 0
-                        # keep the clock monotonic: timestamps (prefetch
-                        # ready times, outstanding-miss windows) are
-                        # absolute
-                        cycle_offset = cycle
-                    measured = position >= warmup_events
-                    plan = "detailed"
-                    cls = weight = 0
-                    if sampler is not None:
-                        cls = trace.handler_fid(k)
-                        weight = trace.event_weight(k)
-                        plan = sampler.plan(k, cls)
-                        if plan == "probe" and not measured:
-                            # a warm-up probe would compare cold-cache
-                            # rates against the warm model and spuriously
-                            # re-arm; probing starts with measurement
-                            plan = "extrapolate"
-                    if plan == "replay":
-                        # this exact event ran in detail before: apply
-                        # its memoized counter delta verbatim
-                        cycle += apply_increments(
-                            self, sampler.replay(k, cls, measured))
-                        result.events += 1
-                    elif plan == "extrapolate":
-                        # synthesised event: no materialisation, no hot
-                        # loop, no ESP pre-execution — counters advance
-                        # by the class model's learned rates × weight
-                        inc = sampler.extrapolate(cls, weight, measured)
-                        cycle += apply_increments(self, inc)
-                        result.events += 1
-                    else:
-                        if sampler is not None:
-                            counters_before = snapshot_counters(
-                                self, cycle)
-                        if esp is not None:
-                            esp.begin_event(k, int(cycle),
-                                            position=position)
-                        event_start = (cycle, result.instructions,
-                                       result.stall_ifetch,
-                                       result.stall_data,
-                                       result.stall_branch)
-                        event = trace.event(k)
-                        if event.diverged:
-                            result.esp.diverged_events += 1
-                        wset_i: set[int] | None = set() \
-                            if self.collect_working_sets else None
-                        wset_d: set[int] | None = set() \
-                            if self.collect_working_sets else None
+            if fast_path:
+                packer = getattr(event, "packed_true", None)
+                packed_true = packer() if packer is not None \
+                    else PackedStream.from_instructions(event.true_stream)
+                packed_looper = packed_looper_of(k) \
+                    if packed_looper_of is not None \
+                    else PackedStream.from_instructions(
+                        trace.looper_stream(k))
+                cycle, cur_block = self._run_streams_packed(
+                    (packed_looper, packed_true), cycle, cur_block, wset_i,
+                    wset_d)
+            else:
+                cycle, cur_block = self._run_streams_object(
+                    k, event, cycle, cur_block, wset_i, wset_d)
 
-                        if fast_path or vector_path:
-                            packer = getattr(event, "packed_true", None)
-                            packed_true = packer() if packer is not None \
-                                else PackedStream.from_instructions(
-                                    event.true_stream)
-                            packed_looper = packed_looper_of(k) \
-                                if packed_looper_of is not None \
-                                else PackedStream.from_instructions(
-                                    trace.looper_stream(k))
-                            if vector_path:
-                                cycle, cur_block = kern.run_event(
-                                    (packed_looper, packed_true), cycle,
-                                    cur_block, wset_i, wset_d)
-                            else:
-                                cycle, cur_block = \
-                                    self._run_streams_packed(
-                                        (packed_looper, packed_true),
-                                        cycle, cur_block, wset_i, wset_d)
-                        else:
-                            cycle, cur_block = self._run_streams_object(
-                                k, event, cycle, cur_block, wset_i,
-                                wset_d)
+            result.events += 1
+            if self.collect_event_profile and position >= warmup_events:
+                self.event_profiles.append(EventProfile(
+                    event_index=k,
+                    instructions=result.instructions - event_start[1],
+                    cycles=cycle - event_start[0],
+                    stall_ifetch=result.stall_ifetch - event_start[2],
+                    stall_data=result.stall_data - event_start[3],
+                    stall_branch=result.stall_branch - event_start[4],
+                    hinted=replay.active if replay is not None else False))
+            if wset_i is not None:
+                self.normal_i_working_sets.append(len(wset_i))
+                self.normal_d_working_sets.append(len(wset_d))
+            if esp is not None:
+                esp.finish_event()
+            if checkpoint_every and checkpoint_sink is not None \
+                    and (position + 1) % checkpoint_every == 0 \
+                    and position + 1 < n_events:
+                self._loop_state = (position + 1, warmup_events, cycle,
+                                    cycle_offset, cur_block, n_events)
+                checkpoint_sink(self.checkpoint())
+                self._loop_state = None
+            if event_hook is not None:
+                event_hook(position)
 
-                        result.events += 1
-                        if self.collect_event_profile \
-                                and position >= warmup_events:
-                            self.event_profiles.append(EventProfile(
-                                event_index=k,
-                                instructions=result.instructions
-                                - event_start[1],
-                                cycles=cycle - event_start[0],
-                                stall_ifetch=result.stall_ifetch
-                                - event_start[2],
-                                stall_data=result.stall_data
-                                - event_start[3],
-                                stall_branch=result.stall_branch
-                                - event_start[4],
-                                hinted=replay.active if replay is not None
-                                else False))
-                        if wset_i is not None:
-                            self.normal_i_working_sets.append(len(wset_i))
-                            self.normal_d_working_sets.append(len(wset_d))
-                        if esp is not None:
-                            esp.finish_event()
-                        if sampler is not None:
-                            sampler.observe(
-                                k, cls,
-                                delta_counters(
-                                    snapshot_counters(self, cycle),
-                                    counters_before),
-                                weight, measured=measured,
-                                probe=plan == "probe")
-                    if checkpoint_every and checkpoint_sink is not None \
-                            and (position + 1) % checkpoint_every == 0 \
-                            and position + 1 < n_events:
-                        self._loop_state = (position + 1, warmup_events,
-                                            cycle, cycle_offset, cur_block,
-                                            n_events)
-                        checkpoint_sink(self.checkpoint())
-                        self._loop_state = None
-                    if event_hook is not None:
-                        event_hook(position)
-            except MemoRestart:
-                # a memo miss after ≥1 replayed event: the skipped live
-                # execution left caches/predictor stale, so rebuild from
-                # scratch and run the whole trace live (still recording)
-                self._reset_for_restart()
-                kern.prepare_restart()
-                continue
-            break
-
-        result = self.result
         hierarchy = self.hierarchy
-        if kern is not None:
-            self.memo_events_replayed = kern.events_replayed
-            self.memo_events_recorded = kern.events_recorded
         result.cycles = cycle - cycle_offset
         # fold in the hierarchy's prefetch-effectiveness counters
         i_stats = hierarchy.prefetch_stats("i")
@@ -536,15 +321,6 @@ class Simulator:
         result.prefetches_issued_d = d_stats.issued
         result.prefetches_useful_d = d_stats.useful
         result.prefetches_late_d = d_stats.late
-
-        if sampler is not None:
-            result.fidelity = "sampled"
-            n_sampled = sampler.replay_hits_measured + sum(
-                m.extrapolated_measured for m in sampler.models.values())
-            result.sampled_events = n_sampled
-            result.detailed_events = result.events - n_sampled
-            result.error_bounds = sampler.error_bounds(result)
-            publish_sampler(trace, config, self.sampling, sampler)
 
         from repro.energy import compute_energy
 
@@ -563,10 +339,7 @@ class Simulator:
         """
         r = self.result
         registry.inc("sim.runs")
-        if self.kernel_used is not None:
-            registry.inc(f"sim.kernel.{self.kernel_used}")
-        registry.inc("memo.events_replayed", self.memo_events_replayed)
-        registry.inc("memo.events_recorded", self.memo_events_recorded)
+        registry.inc(f"sim.kernel.{self.kernel}")
         registry.inc("sim.instructions", r.instructions)
         registry.inc("sim.cycles", int(r.cycles))
         registry.inc("sim.events", r.events)
@@ -1045,11 +818,6 @@ class Simulator:
                                  ("pif", self.pif))
             },
             "esp": self.esp.state_dict() if self.esp is not None else None,
-            # absent from pre-sampling checkpoints; restore() defaults the
-            # missing key to full fidelity, so the version tag can stay
-            "fidelity": self.fidelity_used or "full",
-            "sampling": (self._sampler.state_dict()
-                         if self._sampler is not None else None),
             "normal_i_working_sets": list(self.normal_i_working_sets),
             "normal_d_working_sets": list(self.normal_d_working_sets),
             "event_profiles": [asdict(p) for p in self.event_profiles],
@@ -1082,11 +850,6 @@ class Simulator:
         if (state["esp"] is None) != (self.esp is None):
             raise ValueError(
                 "checkpoint and simulator disagree on ESP being enabled")
-        ckpt_fidelity = state.get("fidelity", "full")
-        if ckpt_fidelity != self._resolve_fidelity():
-            raise ValueError(
-                f"checkpoint was taken at {ckpt_fidelity!r} fidelity, "
-                f"this simulator runs at {self._resolve_fidelity()!r}")
         prefetchers = (("nl_i", self.nl_i), ("dcu", self.dcu),
                        ("stride", self.stride), ("efetch", self.efetch),
                        ("pif", self.pif))
@@ -1127,25 +890,15 @@ class Simulator:
         self.normal_d_working_sets = list(state["normal_d_working_sets"])
         self.event_profiles = [EventProfile(**p)
                                for p in state["event_profiles"]]
-        if ckpt_fidelity == "sampled" and state.get("sampling") is not None:
-            self._pending_sampler = EventSampler.from_state(
-                state["sampling"], self.sampling, fresh_run=False)
         self._pending_restore = dict(state["loop"])
-        # the segment memo is derived state: it is deliberately absent
-        # from the checkpoint payload, and a restored simulator is no
-        # longer at the fresh-construction state the memo token chain
-        # starts from — the resumed run executes live (vector cold pass
-        # at most), bit-identical to the uninterrupted run
-        self._virgin = False
 
 
 def simulate(app: str | AppProfile, config: SimConfig, scale: float = 1.0,
-             seed: int = 0, fidelity: str | None = None,
-             **run_kwargs) -> SimResult:
+             seed: int = 0, **run_kwargs) -> SimResult:
     """Convenience wrapper: build a trace for ``app`` and run ``config``."""
     if isinstance(app, str):
         from repro.workloads.apps import get_app
 
         app = get_app(app)
-    sim = Simulator(app, config, scale=scale, seed=seed, fidelity=fidelity)
+    sim = Simulator(app, config, scale=scale, seed=seed)
     return sim.run(**run_kwargs)

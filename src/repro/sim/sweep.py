@@ -16,13 +16,8 @@ in the benchmarks, the examples, or interactive use — are declarative:
 Sweeps inherit the runner's execution backend: the whole (config × app)
 grid is submitted as one ``run_many`` batch, so whatever
 ``ExperimentRunner(backend=...)`` (or ``REPRO_BACKEND``) resolved to —
-serial, thread pool, process pool, or the auto pick — fans the sweep out
-without any sweep-specific plumbing. The runner's *fidelity* is likewise
-inherited: a sweep on an ``ExperimentRunner(fidelity="sampled")`` runner
-runs every point at sampled fidelity, and its results land under the
-``-sampled`` cache keys so they can never be mistaken for (or collide
-with) full-detail numbers — compare sweep points against a baseline run
-at the *same* fidelity, never across fidelities.
+serial, process pool, remote fleet, or the auto pick — fans the sweep
+out without any sweep-specific plumbing.
 """
 
 from __future__ import annotations

@@ -503,14 +503,6 @@ class EventTrace(TraceBase):
         the event's streams)."""
         return self._handler_of[index]
 
-    def event_weight(self, index: int) -> int:
-        """Planned instruction count of event ``index``, available without
-        materialising its streams — the extrapolation covariate used by
-        :mod:`repro.sim.sampling` (the actual stream length tracks the
-        target closely; the learned per-instruction rates absorb the
-        residual)."""
-        return self._target_len[index]
-
     def stale_state_for(self, index: int) -> dict[int, int]:
         """Shared state visible to a pre-execution of event ``index``: the
         state as of two events earlier (the writes of the one or two skipped

@@ -3,9 +3,9 @@
 The pluggable backend layer (:mod:`repro.exec`) owns how ``run_many``
 batches fan out. The contract pinned here:
 
-* every backend — serial, thread, process, and whatever ``auto``
+* every backend — serial, process, remote, and whatever ``auto``
   resolves to — produces bit-identical :class:`SimResult` objects and
-  writes identically-keyed cache files, across every hot-loop kernel;
+  writes identically-keyed cache files;
 * per-task deadlines are measured from task *start*: a task queued
   behind busy workers of a deliberately oversubscribed pool is never
   charged its queue wait, and a straggler's abandonment never converts
@@ -13,7 +13,7 @@ batches fan out. The contract pinned here:
 * one pool break is accounted as ONE worker death, with the flooded
   sibling tasks counted as ``requeued``;
 * ``auto`` never picks ``process`` on a single-CPU machine (and runs no
-  probe there at all), degrades to ``thread`` where worker processes are
+  probe there at all), degrades to ``serial`` where worker processes are
   unavailable or too slow to start, and records its choice;
 * ``REPRO_BACKEND`` / the ``backend`` constructor argument / backend
   derivation from the worker count behave like every other harness knob
@@ -29,8 +29,7 @@ import pytest
 import repro.exec.auto as auto_mod
 import repro.sim.experiments as experiments_mod
 from repro.exec import (BACKEND_NAMES, ProcessBackend, RemoteBackend,
-                        SerialBackend, ThreadBackend, auto_pick,
-                        make_backend)
+                        SerialBackend, auto_pick, make_backend)
 from repro.obs import metrics as metrics_mod
 from repro.obs.runlog import iter_records
 from repro.obs.stats import format_table, summarize
@@ -96,12 +95,12 @@ class TestBackendParity:
     def test_all_backends_bit_identical_with_identical_cache_keys(
             self, tmp_path):
         """The acceptance matrix: the same grid through the serial,
-        thread, process and remote (self-hosted socket workers) backends
-        yields bit-identical results AND identically-named
-        (= identically-keyed) cache files."""
+        process and remote (self-hosted socket workers) backends yields
+        bit-identical results AND identically-named (= identically-keyed)
+        cache files."""
         reference = None
         ref_files = None
-        for backend in ("serial", "thread", "process", "remote"):
+        for backend in ("serial", "process", "remote"):
             runner = ExperimentRunner(cache_dir=tmp_path / backend,
                                       scale=0.1, seed=0, jobs=2,
                                       backend=backend)
@@ -115,21 +114,6 @@ class TestBackendParity:
                 assert files == ref_files, f"{backend} keyed differently"
         assert ref_files  # the grid really cached something
 
-    @pytest.mark.parametrize("kernel", ["object", "packed", "vector"])
-    def test_parity_holds_across_kernels(self, tmp_path, monkeypatch,
-                                         kernel):
-        """Spot check: backend parity is kernel-independent."""
-        monkeypatch.setenv("REPRO_KERNEL", kernel)
-        pairs = [("bing", presets.baseline()),
-                 ("bing", presets.by_name("nl"))]
-        outs = []
-        for backend in ("serial", "thread", "process"):
-            runner = ExperimentRunner(
-                cache_dir=tmp_path / f"{kernel}-{backend}", scale=0.1,
-                seed=0, jobs=2, backend=backend)
-            outs.append([r.to_dict() for r in runner.run_many(pairs)])
-        assert outs[0] == outs[1] == outs[2]
-
     def test_auto_backend_matches_serial(self, tmp_path, fresh_auto_cache):
         """Whatever ``auto`` resolves to on this machine, the results are
         the serial results, and the resolution is recorded."""
@@ -140,7 +124,7 @@ class TestBackendParity:
                                 seed=0, backend="auto")
         assert [r.to_dict() for r in auto.run_many(pairs)] \
             == [r.to_dict() for r in serial.run_many(pairs)]
-        assert auto.backend_name in ("serial", "thread", "process")
+        assert auto.backend_name in ("serial", "process")
         assert auto.backend_choice is not None
         assert auto.backend_choice.backend == auto.backend_name
 
@@ -259,21 +243,21 @@ class TestAutoPick:
         assert choice.cpus == 8
         assert choice.process_roundtrip_s == 0.01
 
-    def test_unspawnable_workers_degrade_to_thread(self, monkeypatch,
+    def test_unspawnable_workers_degrade_to_serial(self, monkeypatch,
                                                    fresh_auto_cache):
         monkeypatch.setattr(auto_mod, "_spin_score", lambda *a, **k: 1e6)
         monkeypatch.setattr(auto_mod, "_process_roundtrip",
                             lambda *a, **k: None)
-        assert auto_pick(cpus=4).backend == "thread"
+        assert auto_pick(cpus=4).backend == "serial"
 
-    def test_slow_worker_roundtrip_degrades_to_thread(self, monkeypatch,
+    def test_slow_worker_roundtrip_degrades_to_serial(self, monkeypatch,
                                                       fresh_auto_cache):
         monkeypatch.setattr(auto_mod, "_spin_score", lambda *a, **k: 1e6)
         monkeypatch.setattr(
             auto_mod, "_process_roundtrip",
             lambda *a, **k: auto_mod.ROUNDTRIP_CEILING_S * 5)
         choice = auto_pick(cpus=4)
-        assert choice.backend == "thread"
+        assert choice.backend == "serial"
         assert "round-trip" in choice.reason
 
     def test_choice_is_memoized_per_cpu_count(self, monkeypatch,
@@ -317,14 +301,14 @@ class TestAutoPick:
 
 class TestBackendConfiguration:
     def test_env_sets_requested_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
+        monkeypatch.setenv("REPRO_BACKEND", "process")
         runner = ExperimentRunner(use_disk_cache=False)
-        assert runner.backend_requested == "thread"
+        assert runner.backend_requested == "process"
 
     def test_env_is_normalised(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "  Thread ")
+        monkeypatch.setenv("REPRO_BACKEND", "  Process ")
         assert ExperimentRunner(
-            use_disk_cache=False).backend_requested == "thread"
+            use_disk_cache=False).backend_requested == "process"
 
     def test_malformed_env_warns_once_and_derives(self, monkeypatch):
         monkeypatch.setattr(experiments_mod, "_warned_envs", set())
@@ -334,7 +318,7 @@ class TestBackendConfiguration:
         assert runner.backend_requested is None
 
     def test_constructor_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
+        monkeypatch.setenv("REPRO_BACKEND", "process")
         runner = ExperimentRunner(use_disk_cache=False, backend="serial")
         assert runner.backend_requested == "serial"
 
@@ -358,10 +342,8 @@ class TestBackendConfiguration:
             make_backend("auto")  # auto is a picker, not a backend
 
     def test_backend_registry_shape(self):
-        assert BACKEND_NAMES == ("serial", "thread", "process", "remote",
-                                 "auto")
+        assert BACKEND_NAMES == ("serial", "process", "remote", "auto")
         assert SerialBackend().parallel is False
-        assert ThreadBackend().parallel is True
         assert ProcessBackend().parallel is True
         assert RemoteBackend().parallel is True
 
@@ -374,19 +356,20 @@ class TestBackendObservability:
         ``backends —`` summary line."""
         log_dir = tmp_path / "logs"
         runner = ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0,
-                                  jobs=2, backend="thread",
+                                  jobs=2, backend="process",
                                   log_dir=log_dir)
-        runner.run_many([("bing", presets.baseline())])
+        runner.run_many([("bing", presets.baseline()),
+                         ("pixlr", presets.baseline())])
         simulated = [r for r in iter_records(log_dir)
                      if r.get("kind") == "run"
                      and r.get("cache") == "simulated"]
         assert simulated
-        assert all(r["backend"] == "thread" for r in simulated)
+        assert all(r["backend"] == "process" for r in simulated)
         summary = summarize(iter_records(log_dir))
-        assert summary["backends"] == {"thread": len(simulated)}
+        assert summary["backends"] == {"process": len(simulated)}
         table = format_table(summary)
         assert "backend" in table
-        assert "backends — thread:" in table
+        assert "backends — process:" in table
 
     def test_serial_runs_are_stamped_serial(self, tmp_path):
         log_dir = tmp_path / "logs"
@@ -407,7 +390,7 @@ class TestBackendObservability:
             raise RuntimeError("injected simulation bug")
 
         monkeypatch.setattr(ExperimentRunner, "_simulate", poisoned)
-        for backend in ("thread", "process"):
+        for backend in ("serial", "process"):
             runner = ExperimentRunner(cache_dir=tmp_path / backend,
                                       scale=0.1, seed=0, jobs=2,
                                       backend=backend, max_attempts=1,

@@ -34,11 +34,11 @@ CONFIGS = [
 ]
 
 
-def _collect_checkpoints(app, config, use_packed, every=3):
+def _collect_checkpoints(app, config, kernel="packed", every=3):
     """Run once with a checkpoint sink; return (clean result dict,
     captured checkpoint payloads)."""
     states = []
-    sim = Simulator(app, config, use_packed=use_packed)
+    sim = Simulator(app, config, kernel=kernel)
     sim.checkpoint_every = every
     sim.checkpoint_sink = states.append
     clean = sim.run().to_dict()
@@ -46,22 +46,21 @@ def _collect_checkpoints(app, config, use_packed, every=3):
 
 
 class TestCheckpointDeterminism:
-    @pytest.mark.parametrize("use_packed", [None, False],
+    @pytest.mark.parametrize("kernel", ["packed", "object"],
                              ids=["packed", "object"])
     @pytest.mark.parametrize("name,make_config", CONFIGS)
     def test_resume_is_bit_identical(self, tiny_app, name, make_config,
-                                     use_packed):
+                                     kernel):
         """Restore from every captured generation; each resumed run must
         equal the uninterrupted run bit for bit."""
         config = make_config()
-        clean, states = _collect_checkpoints(tiny_app, config, use_packed)
+        clean, states = _collect_checkpoints(tiny_app, config, kernel)
         assert len(states) >= 3, "cadence produced too few checkpoints"
         for state in states:
             # the on-disk envelope serialises the payload; prove the
             # payload survives that round trip exactly
             state = json.loads(json.dumps(state))
-            fresh = Simulator(tiny_app, make_config(),
-                              use_packed=use_packed)
+            fresh = Simulator(tiny_app, make_config(), kernel=kernel)
             fresh.restore(state)
             assert fresh.run().to_dict() == clean, \
                 f"resume from event {state['loop']['position']} diverged"
@@ -70,7 +69,7 @@ class TestCheckpointDeterminism:
         """A run with an active sink equals a run without one."""
         plain = Simulator(tiny_app, SimConfig()).run().to_dict()
         with_sink, states = _collect_checkpoints(tiny_app, SimConfig(),
-                                                 None, every=1)
+                                                 every=1)
         assert with_sink == plain
         # every interior boundary checkpointed, none at the final event
         assert [s["loop"]["position"] for s in states] \
@@ -83,7 +82,7 @@ class TestCheckpointDeterminism:
         app = get_app("bing")
         trace = EventTrace(app, scale=0.1, seed=0)
         clean, states = _collect_checkpoints(trace, presets.esp_nl(),
-                                             None, every=1)
+                                             every=1)
         assert states
         for state in states:
             fresh = Simulator(EventTrace(app, scale=0.1, seed=0),
@@ -94,7 +93,7 @@ class TestCheckpointDeterminism:
 
 class TestRestoreRejection:
     def _state(self, tiny_app):
-        _clean, states = _collect_checkpoints(tiny_app, SimConfig(), None)
+        _clean, states = _collect_checkpoints(tiny_app, SimConfig())
         return states[0]
 
     def test_bad_version_rejected(self, tiny_app):
@@ -109,8 +108,7 @@ class TestRestoreRejection:
             Simulator(tiny_app, presets.nl()).restore(state)
 
     def test_esp_mismatch_rejected(self, tiny_app):
-        _clean, states = _collect_checkpoints(tiny_app, presets.esp_nl(),
-                                              None)
+        _clean, states = _collect_checkpoints(tiny_app, presets.esp_nl())
         with pytest.raises(ValueError):
             Simulator(tiny_app, SimConfig()).restore(states[0])
 
@@ -211,7 +209,7 @@ class TestCheckpointStore:
                                                      tmp_path):
         """End to end: a genuine simulator payload through the store's
         wrap/unwrap envelope restores bit-identically."""
-        clean, states = _collect_checkpoints(tiny_app, SimConfig(), None)
+        clean, states = _collect_checkpoints(tiny_app, SimConfig())
         payload, verified = unwrap_result(wrap_result(states[-1]))
         assert verified
         fresh = Simulator(tiny_app, SimConfig())

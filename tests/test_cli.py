@@ -22,6 +22,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    def test_optional_name_lists_may_be_empty(self):
+        parser = build_parser()
+        assert parser.parse_args(["figures"]).names == []
+        assert parser.parse_args(["run", "--resume"]).apps == []
+        assert parser.parse_args(["calibrate"]).apps == []
+
 
 class TestCommands:
     def test_simulate(self, capsys):
@@ -37,9 +43,37 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "pre-executed" in out
 
-    def test_simulate_unknown_preset(self):
-        with pytest.raises(KeyError):
+    def test_simulate_unknown_preset(self, capsys):
+        with pytest.raises(SystemExit) as info:
             main(["simulate", "pixlr", "--config", "bogus"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err
+        assert "esp_nl" in err  # the valid names are listed
+
+    def test_run_unknown_preset(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["run", "bing", "--config", "baseline",
+                  "--config", "bogus"])
+        assert info.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["simulate", "nosuch"],
+                                      ["run", "bing", "nosuch"],
+                                      ["inspect", "nosuch"]])
+    def test_unknown_app(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "pixlr" in capsys.readouterr().err
+
+    def test_figures_unknown_name(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["figures", "figure7", "nosuch"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'nosuch'" in err
+        assert "headline" in err
 
     def test_apps(self, capsys):
         assert main(["apps", "--scale", "0.3"]) == 0
@@ -70,6 +104,11 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Pentium M" in out
         assert "12.6" in out
+
+    def test_figures_json(self, capsys):
+        assert main(["figures", "--json", "figure7"]) == 0
+        figure = json.loads(capsys.readouterr().out)
+        assert figure["figure_id"] == "Figure 7"
 
 
 class TestStats:
@@ -102,6 +141,36 @@ class TestStats:
         assert summary["cache_hits"] == 2
         assert summary["retries"] == 1
         assert summary["apps"]["bing"]["simulate_s"] == 2.0
+
+    def test_stats_legacy_records_summarise(self, tmp_path, capsys):
+        """Logs written before the vector kernel and the sampling plane
+        were removed carry ``kernel`` / ``memo_*`` / ``fidelity`` fields;
+        they still summarise, and the fields are ignored."""
+        records = [
+            {"kind": "run", "app": "bing", "cache": "simulated",
+             "backend": "thread", "kernel": "vector", "memo_replayed": 7,
+             "memo_recorded": 3, "fidelity": "sampled",
+             "sampled_events": 90, "detailed_events": 10,
+             "max_error_bound": 0.012, "trace_load_s": 0.1,
+             "simulate_s": 2.0, "store_s": 0.01},
+            {"kind": "run", "app": "bing", "cache": "disk",
+             "kernel": "", "memo_replayed": 0, "memo_recorded": 0,
+             "fidelity": "full"},
+        ]
+        (tmp_path / "runs.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in records))
+        assert main(["stats", "--log-dir", str(tmp_path), "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["runs"] == 2
+        assert summary["simulated"] == 1
+        assert summary["cache_hits"] == 1
+        assert summary["apps"]["bing"]["simulate_s"] == 2.0
+        assert not any(key.startswith(("kernel", "memo", "sampled"))
+                       for key in summary)
+        assert main(["stats", "--log-dir", str(tmp_path)]) == 0
+        table = capsys.readouterr().out
+        assert "bing" in table
+        assert "sampling" not in table and "kernels" not in table
 
     def test_stats_empty_log_dir(self, tmp_path, capsys):
         assert main(["stats", "--log-dir", str(tmp_path)]) == 0

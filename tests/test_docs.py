@@ -39,6 +39,16 @@ class TestReadme:
             if package.is_dir() and (package / "__init__.py").exists():
                 assert f"{package.name}/" in self.readme, package.name
 
+    def test_documents_exactly_the_knobs_src_reads(self):
+        """Every ``REPRO_*`` environment knob named in ``src/`` is
+        documented in the README, and the README names no knob that
+        ``src/`` no longer reads."""
+        knob = re.compile(r"\bREPRO_[A-Z][A-Z_]*[A-Z]\b")
+        in_src = {name for path in (REPO / "src").rglob("*.py")
+                  for name in knob.findall(path.read_text())}
+        assert in_src
+        assert set(knob.findall(self.readme)) == in_src
+
 
 class TestDesign:
     design = (REPO / "DESIGN.md").read_text()

@@ -324,30 +324,6 @@ class TestStatsAggregation:
         summary = summarize(self.RECORDS)
         assert json.loads(json.dumps(summary)) == summary
 
-    SAMPLED_RECORDS = RECORDS + [
-        _run_record("bing", "simulated", simulate_s=0.5,
-                    fidelity="sampled", sampled_events=90,
-                    detailed_events=10, max_error_bound=0.012),
-        _run_record("bing", "disk", fidelity="sampled",
-                    sampled_events=90, detailed_events=10,
-                    max_error_bound=0.034),
-    ]
-
-    def test_sampled_fidelity_accounting(self):
-        summary = summarize(self.SAMPLED_RECORDS)
-        assert summary["sampled_runs"] == 2  # the cache hit counts too
-        assert summary["sampled_events"] == 180
-        assert summary["detailed_events"] == 20
-        assert summary["max_error_bound"] == pytest.approx(0.034)
-        assert summary["apps"]["bing"]["sampled_runs"] == 2
-
-    def test_sampling_line_in_table(self):
-        table = format_table(summarize(self.SAMPLED_RECORDS))
-        assert "sampling — sampled runs: 2" in table
-        assert "max error bound: 3.40%" in table
-        # full-fidelity logs stay free of the line
-        assert "sampling" not in format_table(summarize(self.RECORDS))
-
 
 class TestWorkerRetryPath:
     def test_poisoned_worker_fails_once_then_batch_completes(

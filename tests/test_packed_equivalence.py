@@ -1,13 +1,12 @@
-"""Hot-loop implementations vs object compatibility path: bit-identical.
+"""Packed hot loop vs the object reference: bit-identical.
 
-The simulator's hot loop has three implementations (see
-``repro.sim.simulator``): the object path walking ``list[Instruction]``,
-the packed path walking :class:`~repro.isa.stream.PackedStream`
-struct-of-arrays, and the vector path batching pre-lowered segments with
-whole-event memoization (``repro.sim.kernel``). These tests pin the
-contract that all of them are *bit-identical* — same cycles
+The simulator's hot loop has two implementations (see
+``repro.sim.simulator``): the packed path walking
+:class:`~repro.isa.stream.PackedStream` struct-of-arrays, and the object
+path walking ``list[Instruction]``, kept as the test oracle. These tests
+pin the contract that both are *bit-identical* — same cycles
 (floating-point accumulation order included), same counters, same ESP
-statistics — for every preset, on cold and memo-warm runs alike.
+statistics — for every preset.
 """
 
 import pytest
@@ -90,7 +89,7 @@ class TestEventPacking:
 
 
 def _run_pair(trace_factory, config):
-    obj = Simulator(trace_factory(), config, use_packed=False).run()
+    obj = Simulator(trace_factory(), config, kernel="object").run()
     packed = Simulator(trace_factory(), config, kernel="packed").run()
     return obj, packed
 
@@ -118,73 +117,16 @@ class TestBitIdentity:
         is executing, bit-identical to the object reference."""
         sim = Simulator(tiny_trace, presets.by_name(preset))
         packed = sim.run()
-        assert sim.kernel_used == "packed"
+        assert sim.kernel == "packed"
         assert packed.esp.mode_entries > 0
         reference = Simulator(tiny_trace, presets.by_name(preset),
-                              use_packed=False).run()
+                              kernel="object").run()
         assert packed.to_dict() == reference.to_dict()
 
     def test_working_sets_and_event_profiles_match(self, tiny_app):
         config = presets.by_name("esp_nl")
         results = []
-        for use_packed in (False, None):
-            sim = Simulator(EventTrace(tiny_app, scale=1.0, seed=0),
-                            config, use_packed=use_packed)
-            sim.collect_working_sets = True
-            sim.collect_event_profile = True
-            sim.run()
-            results.append((sim.normal_i_working_sets,
-                            sim.normal_d_working_sets,
-                            [(p.event_index, p.instructions, p.cycles,
-                              p.hinted) for p in sim.event_profiles]))
-        assert results[0] == results[1]
-
-
-class TestVectorBitIdentity:
-    """The vector kernel (cold segment pass AND memo-warm replay) against
-    the object reference. ``kernel="vector"`` falls back to the packed
-    loop on ineligible configurations (ESP, runahead, table prefetchers),
-    so every preset must still come out bit-identical."""
-
-    @pytest.mark.parametrize("preset", presets.preset_names())
-    def test_every_preset_tiny_app(self, preset, tiny_app):
-        config = presets.by_name(preset)
-        obj = Simulator(EventTrace(tiny_app, scale=1.0, seed=3),
-                        config, use_packed=False).run()
-        cold_sim = Simulator(EventTrace(tiny_app, scale=1.0, seed=3),
-                             config, kernel="vector")
-        assert obj.to_dict() == cold_sim.run().to_dict()
-        # second fresh simulator: the eligible presets now replay from
-        # the memo and must still be bit-identical
-        warm_sim = Simulator(EventTrace(tiny_app, scale=1.0, seed=3),
-                             config, kernel="vector")
-        assert obj.to_dict() == warm_sim.run().to_dict()
-        if cold_sim.kernel_used == "vector":
-            assert warm_sim.memo_events_replayed > 0
-
-    @pytest.mark.parametrize("preset",
-                             ["baseline", "nl", "esp_nl", "runahead_nl"])
-    def test_headline_presets_real_app(self, preset):
-        config = presets.by_name(preset)
-        obj = Simulator(EventTrace(get_app("pixlr"), scale=0.25, seed=0),
-                        config, use_packed=False).run()
-        for _ in range(2):  # cold, then memo-warm
-            vec = Simulator(EventTrace(get_app("pixlr"), scale=0.25,
-                                       seed=0), config,
-                            kernel="vector").run()
-            assert obj.to_dict() == vec.to_dict()
-
-    def test_ineligible_configs_fall_back(self, tiny_trace):
-        sim = Simulator(tiny_trace, presets.by_name("esp_nl"),
-                        kernel="vector")
-        sim.run()
-        assert sim.kernel_used == "packed"
-
-    def test_working_sets_and_event_profiles_match(self, tiny_app):
-        config = presets.by_name("nl")
-        results = []
-        # object reference, cold vector, memo-warm vector
-        for kernel in ("object", "vector", "vector"):
+        for kernel in ("object", "packed"):
             sim = Simulator(EventTrace(tiny_app, scale=1.0, seed=0),
                             config, kernel=kernel)
             sim.collect_working_sets = True
@@ -194,4 +136,8 @@ class TestVectorBitIdentity:
                             sim.normal_d_working_sets,
                             [(p.event_index, p.instructions, p.cycles,
                               p.hinted) for p in sim.event_profiles]))
-        assert results[0] == results[1] == results[2]
+        assert results[0] == results[1]
+
+    def test_unknown_kernel_rejected(self, tiny_trace):
+        with pytest.raises(ValueError, match="unknown kernel"):
+            Simulator(tiny_trace, presets.by_name("nl"), kernel="vector")

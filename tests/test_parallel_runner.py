@@ -252,3 +252,47 @@ class TestJobsConfiguration:
 
     def test_jobs_floor_is_one(self):
         assert ExperimentRunner(use_disk_cache=False, jobs=0).jobs == 1
+
+
+class TestAutoJobs:
+    def test_auto_jobs_single_cpu_disables_fanout(self, tmp_path,
+                                                  monkeypatch):
+        from repro.sim import experiments
+
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.setattr(experiments, "available_cpus", lambda: 1)
+        monkeypatch.setattr(experiments, "_warned_single_cpu", False)
+        with pytest.warns(RuntimeWarning, match="single-CPU"):
+            runner = experiments.ExperimentRunner(
+                cache_dir=tmp_path, jobs="auto", log_dir=tmp_path / "log")
+        assert runner.jobs == 1
+        records = [json.loads(line) for path
+                   in (tmp_path / "log").glob("*.jsonl")
+                   for line in path.read_text().splitlines()]
+        assert any(r.get("kind") == "fanout-disabled" for r in records)
+
+    def test_auto_jobs_multi_cpu_fans_out(self, tmp_path, monkeypatch):
+        from repro.sim import experiments
+
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.setattr(experiments, "available_cpus", lambda: 4)
+        runner = experiments.ExperimentRunner(cache_dir=tmp_path,
+                                              jobs="auto")
+        assert runner.jobs == 4
+
+    def test_repro_jobs_env_beats_auto(self, tmp_path, monkeypatch):
+        from repro.sim import experiments
+
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        monkeypatch.setattr(experiments, "available_cpus", lambda: 1)
+        runner = experiments.ExperimentRunner(cache_dir=tmp_path,
+                                              jobs="auto")
+        assert runner.jobs == 3
+
+    def test_explicit_int_jobs_untouched(self, tmp_path, monkeypatch):
+        from repro.sim import experiments
+
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.setattr(experiments, "available_cpus", lambda: 1)
+        runner = experiments.ExperimentRunner(cache_dir=tmp_path, jobs=2)
+        assert runner.jobs == 2

@@ -207,7 +207,7 @@ class TestRemoteParity:
     def test_auto_never_resolves_to_remote(self, fresh_auto_cache):
         """Distributing a batch over the network is an explicit choice:
         the machine-shape picker only ever returns a local backend."""
-        assert auto_pick().backend in ("serial", "thread", "process")
+        assert auto_pick().backend in ("serial", "process")
         assert "remote" in BACKEND_NAMES
 
 
@@ -314,13 +314,13 @@ class TestProbeTimeout:
     def test_probe_ceiling_honours_env(self, monkeypatch,
                                        fresh_auto_cache):
         """A loaded CI machine that forks slowly must not misclassify as
-        "slow workers => thread" when ``REPRO_PROBE_TIMEOUT`` says the
+        "slow workers => serial" when ``REPRO_PROBE_TIMEOUT`` says the
         round-trip is acceptable."""
         monkeypatch.setattr(auto_mod, "_spin_score", lambda *a, **k: 1e6)
         monkeypatch.setattr(auto_mod, "_process_roundtrip",
                             lambda *a, **k: 2.0)
         monkeypatch.delenv("REPRO_PROBE_TIMEOUT", raising=False)
-        assert auto_pick(cpus=4).backend == "thread"  # 2.0s > default 1s
+        assert auto_pick(cpus=4).backend == "serial"  # 2.0s > default 1s
         monkeypatch.setenv("REPRO_PROBE_TIMEOUT", "5.0")
         assert auto_pick(cpus=4).backend == "process"  # 2.0s < 5.0s
 

@@ -41,6 +41,17 @@ class TestDerivedMetrics:
         assert fast.improvement_over(base) == pytest.approx(100.0)
         assert SimResult(cycles=0.0).speedup_over(base) == 0.0
 
+    def test_rate_properties_guard_degenerate_divisions(self):
+        """Regression: every rate property returns 0.0 — not
+        ZeroDivisionError — on an empty result."""
+        r = SimResult()
+        assert r.ipc == 0.0
+        assert r.l1i_mpki == 0.0
+        assert r.l1d_miss_rate == 0.0
+        assert r.branch_misprediction_rate == 0.0
+        assert r.extra_instruction_fraction == 0.0
+        assert r.speedup_over(SimResult()) == 0.0
+
 
 class TestSerialization:
     def test_roundtrip(self):

@@ -16,10 +16,10 @@ The contract pinned here:
   the ``corrupt_chunk`` / ``truncated_fetch`` faults firing, every
   damaged transfer ends in a counted retry or a quarantine, never a
   committed result;
-* the worker-side runner memo key includes the forwarded env overrides
-  (a parked worker serving two campaigns with different ``REPRO_KERNEL``
-  gets two runner clones), and garbage frames count
-  ``remote.protocol_errors`` instead of folding into disconnects.
+* the worker-side runner memo key carries the campaign spec (a parked
+  worker serving two campaigns gets two runner clones, the same campaign
+  reuses one), and garbage frames count ``remote.protocol_errors``
+  instead of folding into disconnects.
 """
 
 import json
@@ -491,32 +491,27 @@ class TestSharedNothingFleet:
 # -- satellites ----------------------------------------------------------------
 
 class TestRunnerMemoKey:
-    def test_env_overrides_split_the_memo(self, tmp_path):
-        """A parked worker serving two campaigns whose task frames carry
-        different ``REPRO_KERNEL`` overrides must not reuse one runner
-        clone — the env is part of the memo key and lands on the
-        runner's explicit kernel override."""
+    def test_campaign_spec_splits_the_memo(self, tmp_path):
+        """A parked worker serving two campaigns (different cache, scale
+        or seed) must not reuse one runner clone; the same campaign
+        reuses its clone, and an ``env`` field in a frame from an older
+        coordinator is ignored."""
         worker = _Worker("127.0.0.1:1", in_process=True)
         base = {"cache_dir": str(tmp_path), "scale": 0.1, "seed": 0,
                 "use_disk_cache": True, "checkpoint_events": 0,
                 "store": "shared"}
-        packed = worker._runner_for(
-            dict(base, env={"REPRO_KERNEL": "packed"}))
-        vector = worker._runner_for(
-            dict(base, env={"REPRO_KERNEL": "vector"}))
         plain = worker._runner_for(dict(base))
-        assert packed is not vector
-        assert plain is not packed
-        assert packed.kernel == "packed"
-        assert vector.kernel == "vector"
-        assert plain.kernel is None
+        other_seed = worker._runner_for(dict(base, seed=1))
+        other_scale = worker._runner_for(dict(base, scale=0.2))
+        other_cache = worker._runner_for(
+            dict(base, cache_dir=str(tmp_path / "other")))
+        assert len({id(plain), id(other_seed), id(other_scale),
+                    id(other_cache)}) == 4
+        assert (other_seed.seed, other_scale.scale) == (1, 0.2)
         # same spec -> same clone (the memo still memoizes)
+        assert worker._runner_for(dict(base)) is plain
         assert worker._runner_for(
-            dict(base, env={"REPRO_KERNEL": "packed"})) is packed
-        # a garbage override is dropped, not passed to the simulator
-        junk = worker._runner_for(
-            dict(base, env={"REPRO_KERNEL": "warp-drive"}))
-        assert junk.kernel is None
+            dict(base, env={"REPRO_KERNEL": "vector"})) is plain
 
     def test_no_shared_fs_ignores_coordinator_paths(self, tmp_path):
         worker = _Worker("127.0.0.1:1", in_process=True,
