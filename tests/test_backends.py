@@ -36,6 +36,7 @@ from repro.obs.stats import format_table, summarize
 from repro.sim import presets
 from repro.sim.experiments import ExperimentRunner, GridTaskError
 from repro.sim.experiments import _run_remote as _real_run_remote
+from repro.sim.simulator import Simulator
 
 APPS = ("bing", "pixlr")
 CONFIGS = ("baseline", "nl")
@@ -113,6 +114,27 @@ class TestBackendParity:
                 assert got == reference, f"{backend} diverged"
                 assert files == ref_files, f"{backend} keyed differently"
         assert ref_files  # the grid really cached something
+
+    @pytest.mark.parametrize("kernel", ["object", "packed"])
+    def test_parity_holds_across_kernels(self, tmp_path, kernel):
+        """Spot check: every backend's results are the ones either hot
+        loop computes directly over the runner's own trace."""
+        pairs = [("bing", presets.baseline()),
+                 ("bing", presets.by_name("nl"))]
+        direct = ExperimentRunner(cache_dir=tmp_path / "direct", scale=0.1,
+                                  seed=0, backend="serial")
+        expected = []
+        for app, config in pairs:
+            result = Simulator(direct.trace(app), config,
+                               kernel=kernel).run()
+            result.config = config.name
+            expected.append(result.to_dict())
+        for backend in ("serial", "process"):
+            runner = ExperimentRunner(
+                cache_dir=tmp_path / f"{kernel}-{backend}", scale=0.1,
+                seed=0, jobs=2, backend=backend)
+            got = [r.to_dict() for r in runner.run_many(pairs)]
+            assert got == expected, f"{backend} diverged from {kernel}"
 
     def test_auto_backend_matches_serial(self, tmp_path, fresh_auto_cache):
         """Whatever ``auto`` resolves to on this machine, the results are
