@@ -43,7 +43,7 @@ def main() -> None:
     diverged = 0
     for k in range(len(trace)):
         event = trace.event(k)
-        stats = summarize_stream(event.true_stream)
+        stats = summarize_stream(event.packed_true())
         handlers[event.handler_fid] += 1
         total_instructions += stats.instructions
         diverged += event.diverged

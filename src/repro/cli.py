@@ -235,7 +235,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     indices = [args.event] if args.event is not None else range(len(trace))
     for k in indices:
         event = trace.event(k)
-        stats = summarize_stream(event.true_stream)
+        stats = summarize_stream(event.packed_true())
         print(f"  event {k:>3}: handler {event.handler_fid:<5} "
               f"{stats.instructions:>7,} instrs  "
               f"i-set {stats.i_footprint_bytes / 1024:6.1f} KB  "

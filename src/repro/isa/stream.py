@@ -4,12 +4,17 @@
 struct-of-arrays packing of a stream (parallel tuples for pc / kind /
 addr / taken / target, plus the precomputed I-cache block of each pc).
 Iterating parallel tuples with integer indices is measurably faster in
-CPython than walking ``list[Instruction]`` with attribute lookups, and the
-packed form is built once per event and cached, so every configuration
-simulated against the same trace shares the packing work.
+CPython than walking ``list[Instruction]`` with attribute lookups. Every
+stream is born packed: the event walker and the looper append straight to
+the columns and the ``.espt`` codec decodes into them, and an event holds
+its packing for its lifetime, so every configuration simulated against the
+same trace shares it. ``Instruction`` lists exist only for the object-loop
+test oracle and tests (:meth:`PackedStream.to_instructions`,
+:meth:`PackedStream.from_instructions`).
 
-The remaining helpers are analysis utilities used by tests, the
-working-set study (Figure 13), and the workload calibration tools.
+The remaining helpers are analysis utilities over either form, used by
+tests, ``repro inspect``, the working-set study (Figure 13), and the
+workload calibration tools.
 """
 
 from __future__ import annotations
@@ -19,8 +24,10 @@ from typing import Iterable, Sequence
 
 from repro.isa.instructions import (
     BLOCK_SHIFT,
+    KIND_BRANCH,
+    KIND_LOAD,
+    KIND_STORE,
     Instruction,
-    block_of,
     is_branch_kind,
     is_memory_kind,
 )
@@ -136,36 +143,38 @@ class StreamStats:
         return len(self.d_blocks) * 64
 
 
-def summarize_stream(stream: Iterable[Instruction]) -> StreamStats:
-    """Compute :class:`StreamStats` over ``stream`` in one pass."""
-    stats = StreamStats()
-    from repro.isa.instructions import KIND_BRANCH, KIND_LOAD, KIND_STORE
-
-    for inst in stream:
-        stats.instructions += 1
-        stats.i_blocks.add(block_of(inst.pc))
-        kind = inst.kind
-        if kind == KIND_LOAD:
-            stats.loads += 1
-            stats.d_blocks.add(block_of(inst.addr))
-        elif kind == KIND_STORE:
-            stats.stores += 1
-            stats.d_blocks.add(block_of(inst.addr))
-        elif is_branch_kind(kind):
-            stats.branches += 1
-            if kind == KIND_BRANCH:
-                stats.conditional_branches += 1
-            if inst.taken:
-                stats.taken_branches += 1
-    return stats
+def _packed(stream: PackedStream | Iterable[Instruction]) -> PackedStream:
+    return stream if isinstance(stream, PackedStream) \
+        else PackedStream.from_instructions(stream)
 
 
-def stream_footprint(stream: Iterable[Instruction]) -> tuple[int, int]:
-    """Return ``(i_blocks, d_blocks)`` — distinct block counts of a stream."""
-    i_blocks: set[int] = set()
-    d_blocks: set[int] = set()
-    for inst in stream:
-        i_blocks.add(block_of(inst.pc))
-        if is_memory_kind(inst.kind):
-            d_blocks.add(block_of(inst.addr))
-    return len(i_blocks), len(d_blocks)
+def summarize_stream(stream: PackedStream | Iterable[Instruction]
+                     ) -> StreamStats:
+    """Compute :class:`StreamStats` over ``stream``, read column-wise
+    (an ``Instruction`` iterable is packed first)."""
+    packed = _packed(stream)
+    kinds = packed.kind
+    return StreamStats(
+        instructions=len(packed),
+        loads=kinds.count(KIND_LOAD),
+        stores=kinds.count(KIND_STORE),
+        branches=sum(1 for kind in kinds if is_branch_kind(kind)),
+        conditional_branches=kinds.count(KIND_BRANCH),
+        taken_branches=sum(1 for kind, taken in zip(kinds, packed.taken)
+                           if taken and is_branch_kind(kind)),
+        i_blocks=set(packed.block),
+        d_blocks=_data_blocks(packed))
+
+
+def _data_blocks(packed: PackedStream) -> set[int]:
+    return {addr >> BLOCK_SHIFT for kind, addr in zip(packed.kind,
+                                                      packed.addr)
+            if is_memory_kind(kind)}
+
+
+def stream_footprint(stream: PackedStream | Iterable[Instruction]
+                     ) -> tuple[int, int]:
+    """Return ``(i_blocks, d_blocks)`` — distinct block counts of a stream
+    (packed or not)."""
+    packed = _packed(stream)
+    return len(set(packed.block)), len(_data_blocks(packed))

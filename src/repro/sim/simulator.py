@@ -122,10 +122,8 @@ class Simulator:
             def handler_addr(index: int) -> int:
                 return image.function(trace.handler_fid(index)).entry.addr
 
-            def spec_stream(index: int):
-                event = trace.event(index)
-                packer = getattr(event, "packed_spec", None)
-                return packer() if packer is not None else event.spec_stream
+            def spec_stream(index: int) -> PackedStream:
+                return trace.event(index).packed_spec()
 
             predicted_provider = None
             if schedule is not None:
@@ -224,7 +222,6 @@ class Simulator:
                             max(0, n_events - 1))
 
         fast_path = self.kernel == "packed"
-        packed_looper_of = getattr(trace, "packed_looper_stream", None)
 
         cycle = 0.0
         cycle_offset = 0.0
@@ -271,16 +268,9 @@ class Simulator:
                 if self.collect_working_sets else None
 
             if fast_path:
-                packer = getattr(event, "packed_true", None)
-                packed_true = packer() if packer is not None \
-                    else PackedStream.from_instructions(event.true_stream)
-                packed_looper = packed_looper_of(k) \
-                    if packed_looper_of is not None \
-                    else PackedStream.from_instructions(
-                        trace.looper_stream(k))
                 cycle, cur_block = self._run_streams_packed(
-                    (packed_looper, packed_true), cycle, cur_block, wset_i,
-                    wset_d)
+                    (trace.packed_looper_stream(k), event.packed_true()),
+                    cycle, cur_block, wset_i, wset_d)
             else:
                 cycle, cur_block = self._run_streams_object(
                     k, event, cycle, cur_block, wset_i, wset_d)

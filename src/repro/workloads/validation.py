@@ -58,7 +58,7 @@ def measure(trace: EventTrace, max_events: int | None = None
     lengths = []
     for k in range(n):
         event = trace.event(k)
-        stats = summarize_stream(event.true_stream)
+        stats = summarize_stream(event.packed_true())
         total += stats.instructions
         lengths.append(stats.instructions)
         memory += stats.loads + stats.stores

@@ -78,6 +78,15 @@ class TestEventPacking:
             if not event.diverged:
                 assert packed is event.packed_true()
 
+    def test_taken_is_a_bool_column(self, tiny_trace):
+        """Generated columns hold real bools, as decoded recordings do."""
+        streams = [tiny_trace.packed_looper_stream(0)]
+        for k in range(len(tiny_trace)):
+            event = tiny_trace.event(k)
+            streams += [event.packed_true(), event.packed_spec()]
+        for packed in streams:
+            assert all(type(taken) is bool for taken in packed.taken)
+
     def test_packed_looper_cached_per_handler(self, tiny_trace):
         packed = tiny_trace.packed_looper_stream(0)
         assert packed.to_instructions() == tiny_trace.looper_stream(0)
@@ -86,6 +95,41 @@ class TestEventPacking:
                         == tiny_trace.handler_fid(0)]
         for k in same_handler:
             assert tiny_trace.packed_looper_stream(k) is packed
+
+
+class _RecordingTrace(EventTrace):
+    """An ``EventTrace`` that keeps every event it materialises."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.made = []
+
+    def _materialize(self, index):
+        event = super()._materialize(index)
+        self.made.append(event)
+        return event
+
+
+class TestNoUnpack:
+    """The packed loop, ESP and runahead read only the columns a fresh
+    trace generates: no ``Instruction`` list is built or unpacked."""
+
+    @pytest.mark.parametrize("preset", ["esp_nl", "runahead_nl"])
+    def test_packed_kernel_never_unpacks(self, preset, tiny_app,
+                                         monkeypatch):
+        def refuse(stream):
+            raise AssertionError("from_instructions on the packed path")
+
+        monkeypatch.setattr(PackedStream, "from_instructions",
+                            classmethod(refuse))
+        trace = _RecordingTrace(tiny_app, scale=1.0, seed=3)
+        result = Simulator(trace, presets.by_name(preset),
+                           kernel="packed").run()
+        assert result.esp.mode_entries > 0
+        assert len(trace.made) >= len(trace)
+        for event in trace.made:
+            assert event._true_stream is None
+            assert event._spec_stream is None
 
 
 def _run_pair(trace_factory, config):

@@ -9,7 +9,6 @@ from repro.isa import KIND_ALU, KIND_BRANCH, KIND_LOAD, Instruction
 from repro.isa.tracefile import (
     _FOOTER_LEN,
     FOOTER_MAGIC,
-    RecordedEvent,
     TraceIntegrityError,
     _read_varint,
     _unzigzag,
@@ -21,7 +20,7 @@ from repro.isa.tracefile import (
     load_trace,
     parse_trace,
 )
-from repro.workloads import EventTrace
+from repro.workloads import Event, EventTrace
 
 
 class TestVarints:
@@ -115,7 +114,7 @@ class TestTraceRoundtrip:
         for k in range(len(trace)):
             original = trace.event(k)
             restored = loaded.event(k)
-            assert isinstance(restored, RecordedEvent)
+            assert isinstance(restored, Event)
             for ours, theirs in ((restored.packed_true(),
                                   original.packed_true()),
                                  (restored.packed_spec(),
