@@ -9,21 +9,16 @@ dedup, cache lookups, manifests, attempt budgets — and delegates the
 fan-out itself, so every backend shares one recovery path instead of
 re-implementing three.
 
-Three implementations exist:
+Two implementations exist, plus a picker:
 
 * ``serial`` (:class:`SerialBackend`, here) — no fan-out at all; every
   task flows through the runner's in-process completion ladder with zero
   submission overhead.
 * ``process`` (:mod:`repro.exec.process`) — worker processes with the
   broken-pool / timeout / memory-pressure recovery ladder.
-* ``remote`` (:mod:`repro.exec.remote`) — a TCP coordinator handing
-  tasks to ``repro worker`` processes under time-bounded leases, with
-  work-stealing, at-most-once result commits and graceful degradation
-  to a local backend when every worker is gone.
 * ``auto`` (:mod:`repro.exec.auto`) — not a backend class but a picker:
   measures the machine's shape and resolves to ``serial`` or
-  ``process`` (never ``remote``: distributing work is an explicit
-  choice).
+  ``process``.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.sim.experiments import ExperimentRunner
 
 #: the valid ``REPRO_BACKEND`` values (``auto`` resolves to a local one)
-BACKEND_NAMES = ("serial", "process", "remote", "auto")
+BACKEND_NAMES = ("serial", "process", "auto")
 
 #: how often the parallel backends poll pending futures for task starts
 #: and expired deadlines (seconds); small enough that a deadline is
@@ -52,9 +47,8 @@ def jittered_backoff(base: float, attempt: int, token: str,
     """Full-jitter exponential backoff: a delay drawn uniformly from
     ``[0, min(base * 2**(attempt-2), cap))``.
 
-    Simultaneous retries (grid tasks re-armed after a pool break, remote
-    workers reconnecting after a coordinator restart) must not thundering-
-    herd the coordinator or the filesystem cache, so the classic
+    Simultaneous retries (grid tasks re-armed after a pool break) must
+    not thundering-herd the filesystem cache, so the classic
     deterministic doubling becomes the *ceiling* and the actual delay is
     a uniform draw under it — AWS-style "full jitter". The draw is a pure
     function of ``(token, attempt)`` (no process RNG, no wall clock), so
@@ -82,7 +76,7 @@ class ExecutionBackend:
     which is the single retry hand-back path shared by all backends.
     """
 
-    #: the resolved backend name (``serial`` / ``process`` / ``remote``)
+    #: the resolved backend name (``serial`` / ``process``)
     name = "backend"
 
     #: whether ``run_many`` should route batches through :meth:`run_batch`

@@ -50,7 +50,7 @@ class ProcessBackend(ExecutionBackend):
             pool = runner._pool_cls()(max_workers=max_workers)
         except (OSError, PermissionError, ValueError):
             return list(todo)  # restricted sandbox: serial fallback
-        remote = runner._remote_entry()
+        entry = runner._worker_entry()
         wait_on_exit = True
         pool_broken = False
         try:
@@ -62,7 +62,7 @@ class ProcessBackend(ExecutionBackend):
             pending = set()
             for index, (key, app, config) in enumerate(todo):
                 future = pool.submit(
-                    remote, app, config, runner.scale, runner.seed,
+                    entry, app, config, runner.scale, runner.seed,
                     str(runner.cache_dir), runner.use_disk_cache,
                     worker_log_dir,
                     checkpoint_events=runner.checkpoint_events,

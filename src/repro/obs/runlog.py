@@ -13,7 +13,7 @@ Record kinds (``kind`` field):
 * ``run`` — one simulation request: cache key, app, config name + digest,
   scale, seed, worker pid, cache disposition (``memory`` / ``disk`` /
   ``simulated``), the execution backend context that served it
-  (``serial`` parent / ``process`` worker / ``remote`` worker), and the
+  (``serial`` parent / ``process`` worker), and the
   trace-load / simulate / store timings in seconds.
 * ``retry`` — one task handed back for serial completion, with the reason
   (``worker-died`` / ``timeout`` / ``memory`` / ``error`` — a failed
@@ -38,23 +38,6 @@ Record kinds (``kind`` field):
   app, the worker pid and its heartbeat age in seconds.
 * ``fanout-disabled`` — a ``jobs="auto"`` runner found one usable CPU and
   fell back to serial execution: the CPU count and pid.
-* ``worker-join`` / ``worker-leave`` — a remote worker connected to /
-  disconnected from a ``REPRO_BACKEND=remote`` coordinator: the
-  coordinator-assigned worker id, the worker's pid/host/peer address on
-  join, the reason (``disconnect`` / ``closing``) on leave.
-* ``steal`` — the remote coordinator revoked an expired or orphaned
-  lease and requeued its task: key, app, the worker that held it, the
-  lease age in seconds, and why (``lease-expired`` / ``worker-left``).
-* ``remote-degraded`` — the remote backend lost (or never had) its
-  worker fleet and fell back to the auto-picked local backend: the
-  reason and how many tasks remained.
-* ``fetch`` — the coordinator served one artifact over the
-  shared-nothing artifact plane (``REPRO_STORE=fetch``): the digest,
-  artifact kind, byte count and chunk count of the transfer.
-* ``quarantine-propagated`` — a digest failed verification somewhere in
-  the fleet and was poisoned fleet-wide (it will never be re-served):
-  the digest, artifact kind, reason, and which side reported it
-  (``coordinator`` or ``worker-N``).
 """
 
 from __future__ import annotations

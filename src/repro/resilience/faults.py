@@ -22,29 +22,6 @@ Kinds:
   (exercises :class:`~repro.resilience.watchdog.WorkerWatchdog`).
 * ``interrupt`` — raise :class:`GridInterrupt` in the parent between grid
   tasks (exercises manifest persistence and ``repro run --resume``).
-* ``drop_conn`` — a remote worker abandons its coordinator connection
-  right as a task lands (exercises the lease-steal / reconnect path of
-  :mod:`repro.exec.remote`).
-* ``slow_socket`` — a remote worker delays sending its result by a
-  seeded fraction of :data:`MAX_SOCKET_DELAY_S` (exercises lease renewal
-  under slow links).
-* ``dup_result`` — a remote worker delivers its result twice (exercises
-  the coordinator's at-most-once commit: the duplicate must be a no-op,
-  never a second cache write).
-* ``stale_lease`` — a remote worker suppresses its heartbeats for one
-  task so the lease expires mid-run (exercises expiry-driven stealing
-  even though the worker is alive and may still deliver late).
-* ``corrupt_chunk`` — the coordinator damages one seeded byte of an
-  artifact-transfer chunk while keeping its stated CRC (exercises the
-  per-chunk transport check of :mod:`repro.store`: the fetch must read
-  as a retryable miss, never as data).
-* ``truncated_fetch`` — a worker "loses" the tail chunks of an artifact
-  fetch from a seeded cut point (the frames are still drained so the
-  protocol stays in sync; the short assembly must fail the size check
-  and retry, never land).
-* ``slow_fetch`` — the coordinator delays serving an artifact by a
-  seeded fraction of :data:`MAX_SOCKET_DELAY_S` (exercises fetch-path
-  lease renewal under slow links).
 
 Every decision is a pure function of ``(seed, kind, token, draw index)``
 — no wall clock, no process RNG — so a fault schedule replays exactly
@@ -71,14 +48,7 @@ _FAULTS_ENV = "REPRO_FAULTS"
 #: the fault kinds the harness wires up (unknown kinds in a spec are
 #: carried but never queried)
 KNOWN_KINDS = ("corrupt_trace", "torn_write", "kill_worker",
-               "kill_mid_sim", "stall_worker", "interrupt",
-               "drop_conn", "slow_socket", "dup_result", "stale_lease",
-               "corrupt_chunk", "truncated_fetch", "slow_fetch")
-
-#: ceiling on the seeded ``slow_socket`` send delay (seconds) — long
-#: enough to reorder deliveries against fresh leases, short enough that
-#: a chaos storm still terminates promptly
-MAX_SOCKET_DELAY_S = 0.5
+               "kill_mid_sim", "stall_worker", "interrupt")
 
 #: malformed spec parts already warned about (one warning per part)
 _warned_parts: set[str] = set()
@@ -133,17 +103,6 @@ class FaultPlan:
         digest = hashlib.sha256(
             f"{self.seed}|pos|{token}|{size}".encode()).digest()
         return int.from_bytes(digest[:8], "big") % max(1, size)
-
-    def delay_s(self, kind: str, token: str,
-                max_s: float = MAX_SOCKET_DELAY_S) -> float:
-        """A seeded delay in ``[0, max_s)`` when ``kind`` fires for
-        ``token``, else 0.0 — the injection site just sleeps the return
-        value, so non-firing draws cost nothing."""
-        if not self.fires(kind, token):
-            return 0.0
-        digest = hashlib.sha256(
-            f"{self.seed}|delay|{kind}|{token}".encode()).digest()
-        return max_s * (int.from_bytes(digest[:8], "big") / 2 ** 64)
 
     # -- injection sites -------------------------------------------------------
 

@@ -14,12 +14,10 @@ the same workload share one cache entry.
 
 Grids fan out through a pluggable execution backend
 (:mod:`repro.exec`): ``REPRO_BACKEND`` (or the ``backend`` constructor
-argument / ``--backend`` CLI flag) selects ``serial``, ``process``,
-``remote`` (socket-connected ``repro worker`` processes under
-time-bounded leases — see :mod:`repro.exec.remote`), or ``auto`` —
-which measures the machine shape and picks ``serial`` or ``process``.
-When no backend is named, it derives from the
-worker count: ``REPRO_JOBS`` (or the ``jobs`` constructor argument /
+argument / ``--backend`` CLI flag) selects ``serial``, ``process``
+or ``auto`` — which measures the machine shape and picks ``serial`` or
+``process``. When no backend is named, it derives from the worker
+count: ``REPRO_JOBS`` (or the ``jobs`` constructor argument /
 ``--jobs`` CLI flag) above 1 means ``process``, the historical
 behaviour. :meth:`ExperimentRunner.run_many` hands the missing
 (app, config) pairs to the backend, which owns submission, per-task
@@ -332,12 +330,12 @@ def default_cache_dir() -> Path:
     return Path.cwd() / ".repro_cache"
 
 
-def _run_remote(app: str, config: SimConfig, scale: float, seed: int,
-                cache_dir: str, use_disk_cache: bool,
-                log_dir: str | None = None, attempt: int = 1,
-                checkpoint_events: int | None = None,
-                heartbeat_timeout: float | None = None,
-                mem_limit_mb: int | None = None) -> dict:
+def _run_in_worker(app: str, config: SimConfig, scale: float, seed: int,
+                   cache_dir: str, use_disk_cache: bool,
+                   log_dir: str | None = None, attempt: int = 1,
+                   checkpoint_events: int | None = None,
+                   heartbeat_timeout: float | None = None,
+                   mem_limit_mb: int | None = None) -> dict:
     """Worker-process entry point: run one simulation, sharing the on-disk
     caches — and the JSONL run log — with the parent (module-level so it
     pickles under fork and spawn alike). ``attempt`` distinguishes retries
@@ -391,8 +389,8 @@ class ExperimentRunner:
                  min_disk_mb: int | None = None,
                  mem_limit_mb: int | None = None) -> None:
         """``backend`` (or ``REPRO_BACKEND``) names the execution
-        backend for grid batches — ``serial``, ``process``, ``remote`` or
-        ``auto`` (see :mod:`repro.exec`); unset, it derives from the
+        backend for grid batches — ``serial``, ``process`` or ``auto``
+        (see :mod:`repro.exec`); unset, it derives from the
         worker count. ``task_timeout`` (or ``REPRO_TASK_TIMEOUT``) bounds each
         task attempt; ``max_attempts`` / ``retry_backoff`` (or
         ``REPRO_MAX_ATTEMPTS`` / ``REPRO_RETRY_BACKOFF``) shape the retry
@@ -449,8 +447,7 @@ class ExperimentRunner:
         self.backend_choice = None
         self._backend_impl = None
         #: execution context stamped on this runner's run records:
-        #: "serial" (parent / inline), "process" (worker processes),
-        #: "remote" (socket workers)
+        #: "serial" (parent / inline) or "process" (worker processes)
         self.backend_label = "serial"
         self.task_timeout = default_task_timeout() if task_timeout is None \
             else (task_timeout if task_timeout > 0 else None)
@@ -487,20 +484,11 @@ class ExperimentRunner:
         #: read, but nothing new is written (results, traces, manifests,
         #: checkpoints) — degrade, don't fill the volume
         self.cache_writes_enabled = True
-        #: set by :func:`_run_remote` in pool workers; gates the hazards
+        #: set by :func:`_run_in_worker` in pool workers; gates the hazards
         #: (heartbeat beats, mid-sim faults, memory checks) that must
         #: never run on the parent's inline path
         self.is_worker = False
         self.worker_attempt = 1
-        #: artifact-plane handle (:class:`repro.exec.remote
-        #: ._ArtifactClient`) a shared-nothing worker installs per task:
-        #: :meth:`trace` resolves disk misses through it before
-        #: regenerating locally
-        self.store_client = None
-        #: per-task hook ``(key, path, state)`` a shared-nothing worker
-        #: installs to push each saved checkpoint generation back to the
-        #: coordinator (best-effort, like checkpointing itself)
-        self.checkpoint_mirror = None
         self.heartbeat: Heartbeat | None = None
         self._memory: dict[str, SimResult] = {}
         self._traces: dict[str, EventTrace | LoadedTrace] = {}
@@ -645,20 +633,6 @@ class ExperimentRunner:
             except (ValueError, EOFError, OSError):
                 self._note_corrupt(path, "trace", app=app)
                 trace = None
-        if trace is None and self.use_disk_cache \
-                and self.store_client is not None:
-            # shared-nothing worker: resolve the miss through the
-            # artifact plane before paying for local regeneration (the
-            # client digest-verifies before landing the file; raises
-            # ArtifactUnavailable under fetch_strict so the worker
-            # releases its lease instead of failing the batch)
-            if self.store_client.materialize_trace(app, path):
-                try:
-                    trace = load_trace(path, profile=get_app(app))
-                    self.metrics.inc("cache.trace.fetched")
-                except (ValueError, EOFError, OSError):
-                    self._note_corrupt(path, "trace", app=app)
-                    trace = None
         if trace is None:
             self.metrics.inc("cache.trace.miss")
             generated = EventTrace(get_app(app), scale=self.scale,
@@ -840,16 +814,10 @@ class ExperimentRunner:
                 sim.checkpoint_every = self.checkpoint_events
 
                 def sink(state, _store=store, _key=key, _app=app):
-                    saved = _store.save(state)
-                    if saved is not None:
+                    if _store.save(state) is not None:
                         self.metrics.inc("checkpoint.written")
                         self._log_checkpoint(
                             _key, _app, state["loop"]["position"])
-                        if self.checkpoint_mirror is not None:
-                            # shared-nothing worker: offer the saved
-                            # generation to the coordinator so a stolen
-                            # task resumes on another machine
-                            self.checkpoint_mirror(_key, saved, state)
 
                 sim.checkpoint_sink = sink
         hook = self._event_hook(key, app)
@@ -924,10 +892,10 @@ class ExperimentRunner:
         can swap it for the whole harness in one place."""
         return ProcessPoolExecutor
 
-    def _remote_entry(self):
+    def _worker_entry(self):
         """The picklable worker-process entry point, late-bound from the
         module global likewise."""
-        return _run_remote
+        return _run_in_worker
 
     def _fanout_workers(self, n_tasks: int) -> int:
         """Pool width for a batch of ``n_tasks``: an explicit ``jobs``
@@ -1024,67 +992,6 @@ class ExperimentRunner:
         started — observability only (``backend.queue_wait_s``), never
         charged against the task's deadline."""
         self.metrics.observe("backend.queue_wait_s", seconds)
-
-    def _note_steal(self, key: str, app: str, worker: int,
-                    age_s: float, reason: str) -> None:
-        """The remote coordinator revoked one lease — expired heartbeats
-        or a worker disconnect — and requeued the task to a live worker.
-        Not a retry in the attempt-budget sense: the steal re-issues the
-        *same* attempt elsewhere."""
-        if self._runlog.enabled:
-            self._runlog.write({
-                "kind": "steal", "ts": round(time.time(), 3), "key": key,
-                "app": app, "worker": worker,
-                "age_s": round(age_s, 3), "reason": reason,
-                "pid": os.getpid()})
-
-    def _note_worker_join(self, worker: int, hello: dict, addr) -> None:
-        """One remote worker connected and was welcomed."""
-        if self._runlog.enabled:
-            self._runlog.write({
-                "kind": "worker-join", "ts": round(time.time(), 3),
-                "worker": worker, "worker_pid": hello.get("pid"),
-                "host": hello.get("host", ""),
-                "peer": f"{addr[0]}:{addr[1]}" if addr else "",
-                "pid": os.getpid()})
-
-    def _note_worker_leave(self, worker: int, reason: str) -> None:
-        """One remote worker disconnected (its leases are stolen)."""
-        if self._runlog.enabled:
-            self._runlog.write({
-                "kind": "worker-leave", "ts": round(time.time(), 3),
-                "worker": worker, "reason": reason, "pid": os.getpid()})
-
-    def _note_fetch(self, digest: str, kind: str, size: int,
-                    chunks: int) -> None:
-        """The coordinator served one artifact over the plane."""
-        if self._runlog.enabled:
-            self._runlog.write({
-                "kind": "fetch", "ts": round(time.time(), 3),
-                "digest": digest, "artifact": kind, "bytes": size,
-                "chunks": chunks, "pid": os.getpid()})
-
-    def _note_quarantine_propagated(self, digest: str, kind: str,
-                                    reason: str, source: str) -> None:
-        """A digest failed verification somewhere in the fleet and was
-        poisoned fleet-wide — it will never be re-served."""
-        if self._runlog.enabled:
-            self._runlog.write({
-                "kind": "quarantine-propagated",
-                "ts": round(time.time(), 3), "digest": digest,
-                "artifact": kind, "reason": reason, "source": source,
-                "pid": os.getpid()})
-
-    def _note_remote_degraded(self, reason: str, remaining: int) -> None:
-        """The remote backend lost (or never had) its worker fleet and
-        is falling back to the auto-picked local backend mid-batch —
-        degraded throughput, not a failed campaign."""
-        self.metrics.inc("remote.degraded")
-        if self._runlog.enabled:
-            self._runlog.write({
-                "kind": "remote-degraded", "ts": round(time.time(), 3),
-                "reason": reason, "remaining": remaining,
-                "pid": os.getpid()})
 
     # -- parallel fan-out -----------------------------------------------------
 
@@ -1278,7 +1185,7 @@ class ExperimentRunner:
             worker_log_dir = str(self._runlog.log_dir) \
                 if self._runlog.enabled else None
             future = pool.submit(
-                _run_remote, app, config, self.scale, self.seed,
+                _run_in_worker, app, config, self.scale, self.seed,
                 str(self.cache_dir), self.use_disk_cache, worker_log_dir,
                 attempt, checkpoint_events=self.checkpoint_events,
                 heartbeat_timeout=self.heartbeat_timeout,

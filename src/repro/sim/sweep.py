@@ -16,7 +16,7 @@ in the benchmarks, the examples, or interactive use — are declarative:
 Sweeps inherit the runner's execution backend: the whole (config × app)
 grid is submitted as one ``run_many`` batch, so whatever
 ``ExperimentRunner(backend=...)`` (or ``REPRO_BACKEND``) resolved to —
-serial, process pool, remote fleet, or the auto pick — fans the sweep
+serial, process pool, or the auto pick — fans the sweep
 out without any sweep-specific plumbing.
 """
 

@@ -3,7 +3,7 @@
 The pluggable backend layer (:mod:`repro.exec`) owns how ``run_many``
 batches fan out. The contract pinned here:
 
-* every backend — serial, process, remote, and whatever ``auto``
+* every backend — serial, process, and whatever ``auto``
   resolves to — produces bit-identical :class:`SimResult` objects and
   writes identically-keyed cache files;
 * per-task deadlines are measured from task *start*: a task queued
@@ -18,24 +18,27 @@ batches fan out. The contract pinned here:
 * ``REPRO_BACKEND`` / the ``backend`` constructor argument / backend
   derivation from the worker count behave like every other harness knob
   (constructor > env > derived, malformed env warns once and falls
-  back).
+  back);
+* retry backoff is full-jitter and deterministic in the task token; the
+  auto-pick probe ceiling honours ``REPRO_PROBE_TIMEOUT``.
 """
 
 import os
 import time
+import warnings
 
 import pytest
 
 import repro.exec.auto as auto_mod
 import repro.sim.experiments as experiments_mod
-from repro.exec import (BACKEND_NAMES, ProcessBackend, RemoteBackend,
-                        SerialBackend, auto_pick, make_backend)
+from repro.exec import (BACKEND_NAMES, ProcessBackend, SerialBackend,
+                        auto_pick, jittered_backoff, make_backend)
 from repro.obs import metrics as metrics_mod
 from repro.obs.runlog import iter_records
 from repro.obs.stats import format_table, summarize
 from repro.sim import presets
 from repro.sim.experiments import ExperimentRunner, GridTaskError
-from repro.sim.experiments import _run_remote as _real_run_remote
+from repro.sim.experiments import _run_in_worker as _real_run_in_worker
 from repro.sim.simulator import Simulator
 
 APPS = ("bing", "pixlr")
@@ -45,27 +48,27 @@ CONFIGS = ("baseline", "nl")
 NAP_S = 1.0
 
 
-def _napping_remote(app, config, scale, seed, cache_dir, use_disk_cache,
+def _napping_worker(app, config, scale, seed, cache_dir, use_disk_cache,
                     log_dir=None, attempt=1, **kwargs):
     """Worker stand-in that holds its worker for :data:`NAP_S` before
     simulating, so tasks queued behind it accumulate real queue wait
     (module-level so it pickles under fork and spawn alike)."""
     time.sleep(NAP_S)
-    return _real_run_remote(app, config, scale, seed, cache_dir,
-                            use_disk_cache, log_dir, attempt, **kwargs)
+    return _real_run_in_worker(app, config, scale, seed, cache_dir,
+                               use_disk_cache, log_dir, attempt, **kwargs)
 
 
-def _wedged_remote(app, config, scale, seed, cache_dir, use_disk_cache,
+def _wedged_worker(app, config, scale, seed, cache_dir, use_disk_cache,
                    log_dir=None, attempt=1, **kwargs):
     """Worker stand-in that wedges forever on bing (well past any test
     deadline) and behaves for every other app."""
     if app == "bing":
         time.sleep(8.0)
-    return _real_run_remote(app, config, scale, seed, cache_dir,
-                            use_disk_cache, log_dir, attempt, **kwargs)
+    return _real_run_in_worker(app, config, scale, seed, cache_dir,
+                               use_disk_cache, log_dir, attempt, **kwargs)
 
 
-def _dying_remote(app, config, scale, seed, cache_dir, use_disk_cache,
+def _dying_worker(app, config, scale, seed, cache_dir, use_disk_cache,
                   log_dir=None, attempt=1, **kwargs):
     """Worker stand-in that kills its process before producing anything."""
     os._exit(3)
@@ -95,13 +98,12 @@ def fresh_auto_cache():
 class TestBackendParity:
     def test_all_backends_bit_identical_with_identical_cache_keys(
             self, tmp_path):
-        """The acceptance matrix: the same grid through the serial,
-        process and remote (self-hosted socket workers) backends yields
-        bit-identical results AND identically-named (= identically-keyed)
-        cache files."""
+        """The acceptance matrix: the same grid through the serial and
+        process backends yields bit-identical results AND
+        identically-named (= identically-keyed) cache files."""
         reference = None
         ref_files = None
-        for backend in ("serial", "process", "remote"):
+        for backend in ("serial", "process"):
             runner = ExperimentRunner(cache_dir=tmp_path / backend,
                                       scale=0.1, seed=0, jobs=2,
                                       backend=backend)
@@ -160,8 +162,8 @@ class TestDeadlineFromTaskStart:
         (3 naps + 3 simulations) blows well past. Measured from task
         start, nothing times out; measured from submission — the old
         accounting — the tail of the queue would be abandoned."""
-        monkeypatch.setattr("repro.sim.experiments._run_remote",
-                            _napping_remote)
+        monkeypatch.setattr("repro.sim.experiments._run_in_worker",
+                            _napping_worker)
         baseline = presets.baseline()
         runner = ExperimentRunner(cache_dir=tmp_path, scale=0.05, seed=0,
                                   jobs=1, backend="process",
@@ -186,8 +188,8 @@ class TestDeadlineFromTaskStart:
         it can never start. The straggler is the ONLY timeout — the
         sibling is handed back as ``requeued`` (the stall guard) and
         completes serially instead of being blamed for the wait."""
-        monkeypatch.setattr("repro.sim.experiments._run_remote",
-                            _wedged_remote)
+        monkeypatch.setattr("repro.sim.experiments._run_in_worker",
+                            _wedged_worker)
         log_dir = tmp_path / "logs"
         baseline = presets.baseline()
         runner = ExperimentRunner(cache_dir=tmp_path, scale=0.05, seed=0,
@@ -226,8 +228,8 @@ class TestPoolBreakAccounting:
         """Every worker dying floods every in-flight future with
         ``BrokenProcessPool``; exactly ONE death is counted and the
         surviving tasks are ``requeued``, then completed serially."""
-        monkeypatch.setattr("repro.sim.experiments._run_remote",
-                            _dying_remote)
+        monkeypatch.setattr("repro.sim.experiments._run_in_worker",
+                            _dying_worker)
         baseline = presets.baseline()
         runner = ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0,
                                   jobs=2, backend="process")
@@ -333,11 +335,18 @@ class TestBackendConfiguration:
             use_disk_cache=False).backend_requested == "process"
 
     def test_malformed_env_warns_once_and_derives(self, monkeypatch):
-        monkeypatch.setattr(experiments_mod, "_warned_envs", set())
-        monkeypatch.setenv("REPRO_BACKEND", "quantum")
-        with pytest.warns(RuntimeWarning, match="REPRO_BACKEND"):
-            runner = ExperimentRunner(use_disk_cache=False)
-        assert runner.backend_requested is None
+        # "remote" names the retired socket backend: it must be rejected
+        # like any other unknown name, not silently honoured
+        for raw in ("quantum", "remote"):
+            monkeypatch.setattr(experiments_mod, "_warned_envs", set())
+            monkeypatch.setenv("REPRO_BACKEND", raw)
+            with pytest.warns(RuntimeWarning, match="REPRO_BACKEND"):
+                runner = ExperimentRunner(use_disk_cache=False)
+            assert runner.backend_requested is None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                again = ExperimentRunner(use_disk_cache=False)
+            assert again.backend_requested is None
 
     def test_constructor_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "process")
@@ -364,10 +373,9 @@ class TestBackendConfiguration:
             make_backend("auto")  # auto is a picker, not a backend
 
     def test_backend_registry_shape(self):
-        assert BACKEND_NAMES == ("serial", "process", "remote", "auto")
+        assert BACKEND_NAMES == ("serial", "process", "auto")
         assert SerialBackend().parallel is False
         assert ProcessBackend().parallel is True
-        assert RemoteBackend().parallel is True
 
 
 class TestBackendObservability:
@@ -422,3 +430,45 @@ class TestBackendObservability:
             assert "injected simulation bug" in str(info.value)
         assert recording_metrics.snapshot()["counters"].get(
             "runner.task_errors", 0) >= 2
+
+
+class TestJitteredBackoff:
+    def test_deterministic_and_bounded(self):
+        for attempt in range(2, 8):
+            ceiling = min(0.25 * 2 ** (attempt - 2), 30.0)
+            delay = jittered_backoff(0.25, attempt, "task-token")
+            assert delay == jittered_backoff(0.25, attempt, "task-token")
+            assert 0.0 <= delay < ceiling
+        # different tokens draw differently (full jitter, not a ladder)
+        draws = {jittered_backoff(0.25, 4, f"t{i}") for i in range(16)}
+        assert len(draws) > 8
+
+    def test_zero_base_disables(self):
+        assert jittered_backoff(0.0, 5, "t") == 0.0
+
+    def test_cap_bounds_the_ceiling(self):
+        assert jittered_backoff(10.0, 30, "t", cap=2.0) < 2.0
+
+
+class TestProbeTimeout:
+    def test_probe_ceiling_honours_env(self, monkeypatch,
+                                       fresh_auto_cache):
+        """A loaded CI machine that forks slowly must not misclassify as
+        "slow workers => serial" when ``REPRO_PROBE_TIMEOUT`` says the
+        round-trip is acceptable."""
+        monkeypatch.setattr(auto_mod, "_spin_score", lambda *a, **k: 1e6)
+        monkeypatch.setattr(auto_mod, "_process_roundtrip",
+                            lambda *a, **k: 2.0)
+        monkeypatch.delenv("REPRO_PROBE_TIMEOUT", raising=False)
+        assert auto_pick(cpus=4).backend == "serial"  # 2.0s > default 1s
+        monkeypatch.setenv("REPRO_PROBE_TIMEOUT", "5.0")
+        assert auto_pick(cpus=4).backend == "process"  # 2.0s < 5.0s
+
+    def test_malformed_probe_timeout_degrades_to_default(self,
+                                                         monkeypatch):
+        monkeypatch.setenv("REPRO_PROBE_TIMEOUT", "soon")
+        assert auto_mod.probe_ceiling_s() == auto_mod.ROUNDTRIP_CEILING_S
+        monkeypatch.setenv("REPRO_PROBE_TIMEOUT", "-3")
+        assert auto_mod.probe_ceiling_s() == auto_mod.ROUNDTRIP_CEILING_S
+        monkeypatch.setenv("REPRO_PROBE_TIMEOUT", "0.25")
+        assert auto_mod.probe_ceiling_s() == 0.25

@@ -9,8 +9,6 @@ corruption events visible in metrics. The specs are deterministic
 replay identically on every machine.
 """
 
-import threading
-
 import pytest
 
 from repro.obs import metrics as metrics_mod
@@ -174,79 +172,6 @@ class TestMidSimResilience:
         got = [r.to_dict() for r in chaos.run_many(_pairs())]
         assert got == clean_reference
         assert chaos.retries >= 1
-
-
-class TestRemoteNetworkStorm:
-    def test_network_fault_storm_remote_backend(self, tmp_path,
-                                                monkeypatch,
-                                                clean_reference,
-                                                recording_metrics):
-        """The remote backend under a network storm — dropped worker
-        connections, seeded socket delays, duplicate result deliveries —
-        still ends bit-identical to the clean serial run, with zero
-        duplicate cache commits (every key committed exactly once; late
-        or repeated deliveries are counted no-ops, never second writes).
-        """
-        from repro.exec.remote import worker_main
-        from repro.resilience import unwrap_result
-
-        # the storm workers are staged in-process below; an ambient
-        # REPRO_COORD (the CI remote leg) must not divert tasks to
-        # parked external workers that have no fault plan armed
-        monkeypatch.delenv("REPRO_COORD", raising=False)
-        _arm(monkeypatch,
-             "drop_conn:0.25,slow_socket:0.4,dup_result:0.5,seed:9")
-        runner = ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0,
-                                  backend="remote",
-                                  max_attempts=6, retry_backoff=0.01)
-        backend = runner._resolve_backend()
-        backend.self_host = False
-        backend.wait_s = 60.0
-        backend.lease_s = 2.0
-        stop = threading.Event()
-        threads = []
-
-        def on_bound(addr):
-            coord = f"{addr[0]}:{addr[1]}"
-            for _ in range(2):
-                thread = threading.Thread(
-                    target=worker_main, args=(coord,),
-                    kwargs=dict(in_process=True, stop_event=stop,
-                                reconnect_cap_s=0.2),
-                    daemon=True)
-                thread.start()
-                threads.append(thread)
-
-        backend.on_bound = on_bound
-        try:
-            got = [r.to_dict() for r in runner.run_many(_pairs())]
-        finally:
-            stop.set()
-            for thread in threads:
-                thread.join(timeout=5.0)
-        assert got == clean_reference
-        counters = recording_metrics.snapshot()["counters"]
-        # the storm actually fired...
-        assert counters.get("faults.drop_conn", 0) \
-            + counters.get("faults.slow_socket", 0) \
-            + counters.get("faults.dup_result", 0) >= 1
-        # ...and commits stayed at-most-once: one per unique grid key,
-        # duplicates absorbed as no-ops, nothing quarantined
-        assert counters.get("remote.commits", 0) == len(_pairs())
-        assert counters.get("remote.digest_mismatch", 0) == 0
-        if counters.get("faults.dup_result", 0):
-            assert counters.get("remote.dup_results", 0) >= 1
-        # cache-digest audit: every committed artifact verifies, and a
-        # clean serial pass over the stormed cache is identical too
-        for path in tmp_path.glob("*.json"):
-            _payload, verified = unwrap_result(path.read_text())
-            assert verified, f"{path.name} failed its digest audit"
-        faults.set_fault_plan(faults.FaultPlan())
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        again = ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0,
-                                 jobs=1, backend="serial")
-        assert [r.to_dict() for r in again.run_many(_pairs())] \
-            == clean_reference
 
 
 class TestInterruptResume:

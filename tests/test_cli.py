@@ -18,9 +18,15 @@ class TestParser:
         assert args.config == "esp_nl"
         assert args.scale == 1.0
 
-    def test_unknown_command(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["frobnicate"])
+    def test_unknown_command(self, capsys):
+        # the retired remote backend's ``worker`` subcommand and
+        # ``--backend remote`` are unknown names like any other
+        for argv in (["frobnicate"], ["worker"],
+                     ["run", "bing", "--backend", "remote"]):
+            with pytest.raises(SystemExit) as info:
+                build_parser().parse_args(argv)
+            assert info.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_optional_name_lists_may_be_empty(self):
         parser = build_parser()
@@ -144,8 +150,10 @@ class TestStats:
 
     def test_stats_legacy_records_summarise(self, tmp_path, capsys):
         """Logs written before the vector kernel and the sampling plane
-        were removed carry ``kernel`` / ``memo_*`` / ``fidelity`` fields;
-        they still summarise, and the fields are ignored."""
+        were removed carry ``kernel`` / ``memo_*`` / ``fidelity`` fields,
+        and logs of the retired remote backend carry ``worker-join`` /
+        ``steal`` / ``remote-degraded`` / ``fetch`` records; they still
+        summarise, and the fields and record kinds are ignored."""
         records = [
             {"kind": "run", "app": "bing", "cache": "simulated",
              "backend": "thread", "kernel": "vector", "memo_replayed": 7,
@@ -156,6 +164,14 @@ class TestStats:
             {"kind": "run", "app": "bing", "cache": "disk",
              "kernel": "", "memo_replayed": 0, "memo_recorded": 0,
              "fidelity": "full"},
+            {"kind": "worker-join", "worker": 1, "worker_pid": 42,
+             "host": "h", "peer": "127.0.0.1:5000"},
+            {"kind": "steal", "key": "k", "app": "bing", "worker": 1,
+             "age_s": 3.0, "reason": "lease-expired"},
+            {"kind": "remote-degraded", "reason": "no workers",
+             "remaining": 2},
+            {"kind": "fetch", "digest": "d", "artifact": "trace",
+             "bytes": 1024, "chunks": 2},
         ]
         (tmp_path / "runs.jsonl").write_text(
             "".join(json.dumps(r) + "\n" for r in records))
@@ -165,12 +181,14 @@ class TestStats:
         assert summary["simulated"] == 1
         assert summary["cache_hits"] == 1
         assert summary["apps"]["bing"]["simulate_s"] == 2.0
-        assert not any(key.startswith(("kernel", "memo", "sampled"))
+        assert not any(key.startswith(("kernel", "memo", "sampled",
+                                       "remote", "store"))
                        for key in summary)
         assert main(["stats", "--log-dir", str(tmp_path)]) == 0
         table = capsys.readouterr().out
         assert "bing" in table
         assert "sampling" not in table and "kernels" not in table
+        assert "remote —" not in table and "store —" not in table
 
     def test_stats_empty_log_dir(self, tmp_path, capsys):
         assert main(["stats", "--log-dir", str(tmp_path)]) == 0

@@ -24,7 +24,7 @@ from repro.obs.runlog import RUNLOG_SCHEMA, RunLogWriter, iter_records
 from repro.obs.stats import format_table, summarize
 from repro.sim import presets
 from repro.sim.experiments import ExperimentRunner
-from repro.sim.experiments import _run_remote as _real_run_remote
+from repro.sim.experiments import _run_in_worker as _real_run_in_worker
 
 
 @pytest.fixture
@@ -332,11 +332,11 @@ class TestWorkerRetryPath:
         still return every result, and the retry must be recorded."""
         poison = tmp_path / "poison"
         poison.touch()
-        monkeypatch.setattr("repro.sim.experiments._run_remote",
-                            _poisoned_remote)
+        monkeypatch.setattr("repro.sim.experiments._run_in_worker",
+                            _poisoned_worker)
         monkeypatch.setenv("REPRO_POISON_FILE", str(poison))
         log_dir = tmp_path / "logs"
-        # the poisoned remote is a process-pool stand-in: pin the backend
+        # the poisoned worker is a process-pool stand-in: pin the backend
         # so an ambient REPRO_BACKEND can't reroute the batch around it
         runner = ExperimentRunner(cache_dir=tmp_path / "cache", scale=0.25,
                                   seed=0, jobs=2, backend="process",
@@ -354,7 +354,7 @@ class TestWorkerRetryPath:
         assert set(reasons) <= {"worker-died", "requeued"}
 
 
-def _poisoned_remote(app, config, scale, seed, cache_dir, use_disk_cache,
+def _poisoned_worker(app, config, scale, seed, cache_dir, use_disk_cache,
                      log_dir=None, **kwargs):
     """Worker entry point that dies abruptly on its first invocation (the
     poison file marks the pending failure), then behaves normally. Only
@@ -370,5 +370,5 @@ def _poisoned_remote(app, config, scale, seed, cache_dir, use_disk_cache,
             pass
         else:
             os._exit(17)
-    return _real_run_remote(app, config, scale, seed, cache_dir,
-                            use_disk_cache, log_dir, **kwargs)
+    return _real_run_in_worker(app, config, scale, seed, cache_dir,
+                               use_disk_cache, log_dir, **kwargs)

@@ -17,14 +17,14 @@ import pytest
 from repro.resilience import GridManifest, unwrap_result
 from repro.sim import presets
 from repro.sim.experiments import (ExperimentRunner, GridTaskError,
-                                   _run_remote)
+                                   _run_in_worker)
 from repro.sim.results import SimResult
 
 APPS = ["bing", "pixlr"]
 CONFIGS = ["baseline", "nl"]
 
 
-def _always_dying_remote(app, config, scale, seed, cache_dir,
+def _always_dying_worker(app, config, scale, seed, cache_dir,
                          use_disk_cache, log_dir=None, attempt=1,
                          **kwargs):
     """Worker stand-in that dies before producing any result (module-level
@@ -32,21 +32,21 @@ def _always_dying_remote(app, config, scale, seed, cache_dir,
     os._exit(3)
 
 
-def _slow_remote(app, config, scale, seed, cache_dir, use_disk_cache,
+def _slow_worker(app, config, scale, seed, cache_dir, use_disk_cache,
                  log_dir=None, attempt=1, **kwargs):
     """Worker stand-in that outlives any reasonable per-task timeout."""
     time.sleep(2.0)
-    return _run_remote(app, config, scale, seed, cache_dir, use_disk_cache,
-                       log_dir, attempt, **kwargs)
+    return _run_in_worker(app, config, scale, seed, cache_dir,
+                          use_disk_cache, log_dir, attempt, **kwargs)
 
 
-def _flaky_remote(app, config, scale, seed, cache_dir, use_disk_cache,
+def _flaky_worker(app, config, scale, seed, cache_dir, use_disk_cache,
                   log_dir=None, attempt=1, **kwargs):
     """Worker stand-in that hangs for bing and behaves for everyone else."""
     if app == "bing":
         time.sleep(2.0)
-    return _run_remote(app, config, scale, seed, cache_dir, use_disk_cache,
-                       log_dir, attempt, **kwargs)
+    return _run_in_worker(app, config, scale, seed, cache_dir,
+                          use_disk_cache, log_dir, attempt, **kwargs)
 
 
 def _grid_dicts(runner):
@@ -113,14 +113,14 @@ class TestCacheIntegrity:
             pytest.skip(f"cannot spawn worker processes: {exc}")
         with pool:
             futures = [
-                pool.submit(_run_remote, "bing", config, 0.25, 0,
+                pool.submit(_run_in_worker, "bing", config, 0.25, 0,
                             str(tmp_path), True)
                 for _ in range(4)]
-            remote = [SimResult.from_dict(f.result()) for f in futures]
+            pooled = [SimResult.from_dict(f.result()) for f in futures]
         reference = ExperimentRunner(
             cache_dir=tmp_path / "ref", scale=0.25, seed=0,
             jobs=1).run("bing", config).to_dict()
-        for result in remote:
+        for result in pooled:
             assert result.to_dict() == reference
         cache_files = [p for p in tmp_path.glob("*.json")]
         assert len(cache_files) == 1
@@ -166,9 +166,9 @@ class TestFaultTolerance:
     def test_dead_workers_complete_serially(self, tmp_path, monkeypatch):
         """Every worker dying (BrokenProcessPool) still yields a complete,
         order-preserving result list, computed serially in the parent."""
-        monkeypatch.setattr("repro.sim.experiments._run_remote",
-                            _always_dying_remote)
-        # the dying remote is a process-pool stand-in: pin the backend so
+        monkeypatch.setattr("repro.sim.experiments._run_in_worker",
+                            _always_dying_worker)
+        # the dying worker is a process-pool stand-in: pin the backend so
         # an ambient REPRO_BACKEND (the CI backend legs) can't reroute
         # the batch around it
         runner = ExperimentRunner(cache_dir=tmp_path, scale=0.25, seed=0,
@@ -190,8 +190,8 @@ class TestFaultTolerance:
         """A task that can never beat the timeout — parallel or serial —
         exhausts its attempts and is marked failed with a reason; the
         grid terminates instead of hanging on the serial retry."""
-        monkeypatch.setattr("repro.sim.experiments._run_remote",
-                            _slow_remote)
+        monkeypatch.setattr("repro.sim.experiments._run_in_worker",
+                            _slow_worker)
         runner = ExperimentRunner(cache_dir=tmp_path, scale=0.25, seed=0,
                                   jobs=2, backend="process",
                                   task_timeout=0.2,
@@ -214,8 +214,8 @@ class TestFaultTolerance:
             self, tmp_path, monkeypatch):
         """Other tasks of the grid still complete (and stay cached) when
         one task burns its whole attempt budget."""
-        monkeypatch.setattr("repro.sim.experiments._run_remote",
-                            _flaky_remote)
+        monkeypatch.setattr("repro.sim.experiments._run_in_worker",
+                            _flaky_worker)
         # backend="serial" pins the serial retry ladder (the subject of
         # this test) even under an ambient REPRO_BACKEND
         runner = ExperimentRunner(cache_dir=tmp_path, scale=0.25, seed=0,

@@ -402,8 +402,8 @@ class TestRunnerResume:
             raise RuntimeError("injected simulation bug")
 
         # the poisoned _simulate only exists in this process: pin the
-        # backend so an ambient REPRO_BACKEND=remote can't hand the task
-        # to an unpatched worker
+        # backend so an ambient REPRO_BACKEND=process can't hand the
+        # task to an unpatched worker
         monkeypatch.setattr(ExperimentRunner, "_simulate", poisoned)
         runner = _runner(tmp_path, max_attempts=2, retry_backoff=0.0,
                          backend="serial")
