@@ -9,7 +9,7 @@ corruption *detectable* (content checksums,
 (regeneration, resumable grid manifests via
 :mod:`repro.resilience.manifest`, and generational checkpoint resume via
 :mod:`repro.resilience.checkpoint`). Live failures are covered too:
-:mod:`repro.resilience.watchdog` supervises worker heartbeats, kills
+:mod:`repro.resilience.memory` supervises worker heartbeats, kills
 stalled workers, and guards disk/memory pressure so retries resume from
 checkpoints instead of repeating work. A deterministic fault-injection
 harness (:mod:`repro.resilience.faults`, ``REPRO_FAULTS``) proves the
@@ -26,9 +26,9 @@ from repro.resilience.integrity import (IntegrityError, payload_digest,
                                         wrap_result)
 from repro.resilience.manifest import (GridManifest, config_from_dict,
                                        config_to_dict)
-from repro.resilience.watchdog import (Heartbeat, MemoryPressure,
-                                       WorkerWatchdog, apply_memory_limit,
-                                       check_memory, rss_bytes)
+from repro.resilience.memory import (Heartbeat, MemoryPressure,
+                                     WorkerWatchdog, apply_memory_limit,
+                                     check_memory, rss_bytes)
 
 __all__ = [
     "CheckpointStore",

@@ -19,7 +19,7 @@ Kinds:
   restart, and still produce a bit-identical result).
 * ``stall_worker`` — hang a pool worker at an event boundary long enough
   that the parent's heartbeat watchdog declares it stalled and kills it
-  (exercises :class:`~repro.resilience.watchdog.WorkerWatchdog`).
+  (exercises :class:`~repro.resilience.memory.WorkerWatchdog`).
 * ``interrupt`` — raise :class:`GridInterrupt` in the parent between grid
   tasks (exercises manifest persistence and ``repro run --resume``).
 

@@ -65,14 +65,14 @@ boundaries via :class:`~repro.resilience.checkpoint.CheckpointStore`, so
 a task killed mid-run resumes from its newest valid generation instead of
 restarting — bit-identically, which the chaos suite proves under the
 ``kill_mid_sim`` fault. ``REPRO_HEARTBEAT_TIMEOUT`` arms a parent-side
-:class:`~repro.resilience.watchdog.WorkerWatchdog` that kills pool
+:class:`~repro.resilience.memory.WorkerWatchdog` that kills pool
 workers whose per-task heartbeat file goes stale (hung simulation, stuck
 I/O) so the broken-pool recovery — and the checkpointed resume — takes
 over. Resource-pressure guards degrade before they fail:
 ``REPRO_MIN_DISK_MB`` switches the runner to no-write-cache mode when the
 cache volume runs low, and ``REPRO_MEM_LIMIT_MB`` bounds worker address
 space and converts a would-be OOM kill into a
-:class:`~repro.resilience.watchdog.MemoryPressure` retry at reduced
+:class:`~repro.resilience.memory.MemoryPressure` retry at reduced
 fan-out.
 
 Observability: cache hits/misses/corruptions are counted in the
@@ -1019,7 +1019,7 @@ class ExperimentRunner:
         batch has been processed.
 
         With ``heartbeat_timeout`` set (``REPRO_HEARTBEAT_TIMEOUT``), a
-        :class:`~repro.resilience.watchdog.WorkerWatchdog` supervises the
+        :class:`~repro.resilience.memory.WorkerWatchdog` supervises the
         batch: workers whose heartbeat files go stale are killed so their
         tasks retry — from their newest checkpoint when checkpointing is
         on — instead of hanging the campaign.

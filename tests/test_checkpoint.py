@@ -20,9 +20,9 @@ import pytest
 
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.integrity import unwrap_result, wrap_result
-from repro.resilience.watchdog import (Heartbeat, MemoryPressure,
-                                       WorkerWatchdog, check_memory,
-                                       rss_bytes)
+from repro.resilience.memory import (Heartbeat, MemoryPressure,
+                                     WorkerWatchdog, check_memory,
+                                     rss_bytes)
 from repro.sim import presets
 from repro.sim.config import SimConfig
 from repro.sim.simulator import CHECKPOINT_VERSION, Simulator
