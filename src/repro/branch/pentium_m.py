@@ -335,50 +335,6 @@ class PentiumMPredictor:
         twin.confidence = entry.confidence
         return twin
 
-    # -- checkpointing --------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """JSON-safe snapshot of every table.
-
-        ``_loops``/``_btb``/``_ibtb`` evict FIFO via ``next(iter(...))``,
-        so their insertion order is load-bearing and they are serialized as
-        ordered pair lists (int dict keys would not survive JSON anyway).
-        """
-        return {
-            "pir": self.pir,
-            "global_tags": list(self._global_tags),
-            "global_ctr": list(self._global_ctr),
-            "local_hist": list(self._local_hist),
-            "local_ctr": list(self._local_ctr),
-            "loops": [[pc, e.trip, e.count, e.confidence]
-                      for pc, e in self._loops.items()],
-            "btb": [[pc, target] for pc, target in self._btb.items()],
-            "ibtb": [[pc, target] for pc, target in self._ibtb.items()],
-            "ras": list(self._ras),
-            "predictions": self.predictions,
-            "mispredictions": self.mispredictions,
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot in place (same config)."""
-        self.pir = state["pir"] & self._pir_mask
-        self._global_tags = list(state["global_tags"])
-        self._global_ctr = list(state["global_ctr"])
-        self._local_hist = list(state["local_hist"])
-        self._local_ctr = list(state["local_ctr"])
-        self._loops = {}
-        for pc, trip, count, confidence in state["loops"]:
-            entry = _LoopEntry()
-            entry.trip = trip
-            entry.count = count
-            entry.confidence = confidence
-            self._loops[pc] = entry
-        self._btb = {pc: target for pc, target in state["btb"]}
-        self._ibtb = {pc: target for pc, target in state["ibtb"]}
-        self._ras = list(state["ras"])
-        self.predictions = state["predictions"]
-        self.mispredictions = state["mispredictions"]
-
     # -- stats ----------------------------------------------------------------
 
     @property

@@ -15,9 +15,9 @@ Commands:
 * ``inspect`` — per-event anatomy of one app's trace.
 * ``stats`` — aggregate the harness's JSONL run logs (cache hit rates,
   per-app wall-clock and throughput, the execution backend that served
-  each app's simulated runs, retry counts, checkpoints written,
-  checkpoint resumes and stalled-worker kills); ``--json`` emits the
-  machine-readable summary instead of the table.
+  each app's simulated runs, retry counts, requeued tasks, quarantined
+  corruptions and failed tasks); ``--json`` emits the machine-readable
+  summary instead of the table.
 
 App, preset and figure names are checked by the parser: an unknown name
 exits with status 2 and the list of valid ones.

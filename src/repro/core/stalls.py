@@ -29,14 +29,6 @@ class DataStallModel:
         self._last_miss_icount = -(10 ** 9)
         self._outstanding_until = -1.0
 
-    def state_dict(self) -> dict:
-        return {"last_miss_icount": self._last_miss_icount,
-                "outstanding_until": self._outstanding_until}
-
-    def load_state(self, state: dict) -> None:
-        self._last_miss_icount = state["last_miss_icount"]
-        self._outstanding_until = state["outstanding_until"]
-
     def exposed(self, icount: int, cycle: float, latency: float,
                 llc_miss: bool) -> float:
         """Exposed stall for a data access completing ``latency`` cycles from

@@ -58,19 +58,6 @@ class RecordedHints:
             self.b_tgt.absorb_into(config.b_list_tgt_bytes[mode]),
         )
 
-    def state_dict(self) -> dict:
-        return {"i_list": self.i_list.state_dict(),
-                "d_list": self.d_list.state_dict(),
-                "b_dir": self.b_dir.state_dict(),
-                "b_tgt": self.b_tgt.state_dict()}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "RecordedHints":
-        return cls(CompressedAddressList.from_state(state["i_list"]),
-                   CompressedAddressList.from_state(state["d_list"]),
-                   BranchDirectionList.from_state(state["b_dir"]),
-                   BranchTargetList.from_state(state["b_tgt"]))
-
 
 @dataclass
 class PreExecState:
@@ -109,59 +96,3 @@ class PreExecState:
     @property
     def remaining(self) -> int:
         return len(self.stream) - self.position if self.stream else 0
-
-    def state_dict(self) -> dict:
-        """JSON-safe snapshot. ``stream`` is deliberately excluded: it is
-        re-derivable from the trace via the controller's spec-stream
-        provider, which the restore path does for every started slot. The
-        touched-by-mode sets are membership-only (the controller consumes
-        ``len()``), so sorted listings restore them exactly."""
-        return {
-            "event_index": self.event_index,
-            "position": self.position,
-            "icount": self.icount,
-            "pir": self.pir,
-            "ras": list(self.ras),
-            "started": self.started,
-            "finished": self.finished,
-            "exhausted": self.exhausted,
-            "hints": self.hints.state_dict() if self.hints is not None
-            else None,
-            "bp_replica": self.bp_replica.state_dict()
-            if self.bp_replica is not None else None,
-            "i_touched_by_mode": [[mode, sorted(blocks)] for mode, blocks
-                                  in self.i_touched_by_mode.items()],
-            "d_touched_by_mode": [[mode, sorted(blocks)] for mode, blocks
-                                  in self.d_touched_by_mode.items()],
-            "last_i_block": self.last_i_block,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict,
-                   bp_config=None) -> "PreExecState":
-        """Rebuild a snapshot; ``bp_config`` supplies the predictor
-        configuration for an embedded ``bp_replica``, when present."""
-        replica = None
-        if state["bp_replica"] is not None:
-            from repro.branch import PentiumMPredictor
-
-            replica = PentiumMPredictor(bp_config)
-            replica.load_state(state["bp_replica"])
-        return cls(
-            event_index=state["event_index"],
-            position=state["position"],
-            icount=state["icount"],
-            pir=state["pir"],
-            ras=list(state["ras"]),
-            started=state["started"],
-            finished=state["finished"],
-            exhausted=state["exhausted"],
-            hints=RecordedHints.from_state(state["hints"])
-            if state["hints"] is not None else None,
-            bp_replica=replica,
-            i_touched_by_mode={mode: set(blocks) for mode, blocks
-                               in state["i_touched_by_mode"]},
-            d_touched_by_mode={mode: set(blocks) for mode, blocks
-                               in state["d_touched_by_mode"]},
-            last_i_block=state["last_i_block"],
-        )

@@ -220,92 +220,6 @@ class EspController:
         # nothing to do beyond what begin_event of the next event performs;
         # kept as an explicit hook for symmetry and future instrumentation.
 
-    # -- checkpointing ---------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """JSON-safe snapshot of the controller at an event boundary:
-        queue slots with their pre-execution contexts, cachelets, replay
-        cursors, working-set records, and the naive-decay RNG. Speculative
-        streams are *not* captured — they are re-derived from the trace on
-        restore (see :meth:`load_state`)."""
-        slots = []
-        for slot in self.queue.slots:
-            if slot is None:
-                slots.append(None)
-                continue
-            slots.append({
-                "event_index": slot.event_index,
-                "handler_addr": slot.handler_addr,
-                "arg_addr": slot.arg_addr,
-                "eu": slot.eu,
-                "incorrect_prediction": slot.incorrect_prediction,
-                "state": slot.state.state_dict()
-                if slot.state is not None else None,
-            })
-        rng_state = self._decay_rng.getstate()
-        return {
-            "slots": slots,
-            "i_cachelets": self.i_cachelets.state_dict()
-            if self.i_cachelets is not None else None,
-            "d_cachelets": self.d_cachelets.state_dict()
-            if self.d_cachelets is not None else None,
-            "replay": self.replay.state_dict(),
-            "i_working_sets": [[[m, n] for m, n in ws.items()]
-                               for ws in self.i_working_sets],
-            "d_working_sets": [[[m, n] for m, n in ws.items()]
-                               for ws in self.d_working_sets],
-            "current_index": self._current_index,
-            "ras_dirty": self._ras_dirty,
-            "naive_fills": [[side, block]
-                            for side, block in self._naive_fills],
-            # random.getstate() is (version, 625-int tuple, gauss_next) —
-            # tuples become JSON lists, converted back on load
-            "decay_rng": [rng_state[0], list(rng_state[1]), rng_state[2]],
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot in place. Every started
-        slot gets its speculative stream re-derived from the spec-stream
-        provider, exactly as :meth:`_ensure_started` derives it — streams
-        are pure functions of the trace, so re-derivation is bit-exact."""
-        slots: list[QueueSlot | None] = []
-        for slot_state in state["slots"]:
-            if slot_state is None:
-                slots.append(None)
-                continue
-            slot = QueueSlot(slot_state["event_index"],
-                             slot_state["handler_addr"],
-                             arg_addr=slot_state["arg_addr"],
-                             eu=slot_state["eu"],
-                             incorrect_prediction=slot_state[
-                                 "incorrect_prediction"])
-            if slot_state["state"] is not None:
-                slot.state = PreExecState.from_state(
-                    slot_state["state"], bp_config=self.predictor.config)
-                if slot.eu:
-                    stream = self._spec_stream(slot.event_index)
-                    if not isinstance(stream, PackedStream):
-                        stream = PackedStream.from_instructions(stream)
-                    slot.state.stream = stream
-            slots.append(slot)
-        self.queue.slots = slots[:self.queue.depth]
-        self.queue.slots += [None] * (self.queue.depth
-                                      - len(self.queue.slots))
-        if self.i_cachelets is not None:
-            self.i_cachelets.load_state(state["i_cachelets"])
-            self.d_cachelets.load_state(state["d_cachelets"])
-        self.replay.load_state(state["replay"])
-        self.i_working_sets = [{m: n for m, n in ws}
-                               for ws in state["i_working_sets"]]
-        self.d_working_sets = [{m: n for m, n in ws}
-                               for ws in state["d_working_sets"]]
-        self._current_index = state["current_index"]
-        self._ras_dirty = state["ras_dirty"]
-        self._naive_fills = [(side, block)
-                             for side, block in state["naive_fills"]]
-        version, internal, gauss_next = state["decay_rng"]
-        self._decay_rng.setstate((version, tuple(internal), gauss_next))
-
     # -- stall handling --------------------------------------------------------
 
     def on_stall(self, cycle: int, budget: float) -> None:

@@ -118,26 +118,6 @@ class CompressedAddressList:
         bigger.entries = list(self.entries)
         return bigger
 
-    def state_dict(self) -> dict:
-        return {
-            "capacity_bits": self.capacity_bits,
-            "unbounded": self.unbounded,
-            "bits_used": self.bits_used,
-            "overflowed": self.overflowed,
-            "entries": [[e.block, e.run, e.icount] for e in self.entries],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "CompressedAddressList":
-        lst = cls(0)
-        lst.capacity_bits = state["capacity_bits"]
-        lst.unbounded = state["unbounded"]
-        lst.bits_used = state["bits_used"]
-        lst.overflowed = state["overflowed"]
-        lst.entries = [AddressEntry(block, run, icount)
-                       for block, run, icount in state["entries"]]
-        return lst
-
 
 @dataclass
 class BranchEntry:
@@ -201,30 +181,6 @@ class BranchDirectionList:
         bigger._since_icount_header = self._since_icount_header
         return bigger
 
-    def state_dict(self) -> dict:
-        return {
-            "capacity_bits": self.capacity_bits,
-            "unbounded": self.unbounded,
-            "bits_used": self.bits_used,
-            "overflowed": self.overflowed,
-            "since_icount_header": self._since_icount_header,
-            "entries": [[e.pc, e.taken, e.indirect, e.target, e.kind,
-                         e.icount] for e in self.entries],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "BranchDirectionList":
-        lst = cls(0)
-        lst.capacity_bits = state["capacity_bits"]
-        lst.unbounded = state["unbounded"]
-        lst.bits_used = state["bits_used"]
-        lst.overflowed = state["overflowed"]
-        lst._since_icount_header = state["since_icount_header"]
-        lst.entries = [BranchEntry(pc, taken, indirect, target, kind, icount)
-                       for pc, taken, indirect, target, kind, icount
-                       in state["entries"]]
-        return lst
-
 
 class BranchTargetList:
     """B-List-Target bit accounting (targets of taken indirect branches).
@@ -263,22 +219,3 @@ class BranchTargetList:
         bigger.bits_used = self.bits_used
         bigger.count = self.count
         return bigger
-
-    def state_dict(self) -> dict:
-        return {
-            "capacity_bits": self.capacity_bits,
-            "unbounded": self.unbounded,
-            "bits_used": self.bits_used,
-            "count": self.count,
-            "overflowed": self.overflowed,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "BranchTargetList":
-        lst = cls(0)
-        lst.capacity_bits = state["capacity_bits"]
-        lst.unbounded = state["unbounded"]
-        lst.bits_used = state["bits_used"]
-        lst.count = state["count"]
-        lst.overflowed = state["overflowed"]
-        return lst

@@ -91,45 +91,6 @@ class ReplayEngine:
             # ~70 instructions before the event does
             self.poll(-self.config.looper_headstart, cycle)
 
-    # -- checkpointing ---------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """JSON-safe snapshot of the mid-event replay cursors and the
-        expanded entry lists (the attached hints may belong to an event
-        already dequeued, so the entries are captured here verbatim)."""
-        return {
-            "i_entries": [[block, icount] for block, icount
-                          in self._i_entries],
-            "d_entries": [[block, icount] for block, icount
-                          in self._d_entries],
-            "b_entries": [[e.pc, e.taken, e.indirect, e.target, e.kind,
-                           e.icount] for e in self._b_entries],
-            "i_idx": self._i_idx,
-            "d_idx": self._d_idx,
-            "b_idx": self._b_idx,
-            "bt_idx": self._bt_idx,
-            "shadow_pir": self._shadow_pir,
-            "active": self.active,
-        }
-
-    def load_state(self, state: dict) -> None:
-        from repro.esp.lists import BranchEntry
-
-        self._i_entries = [(block, icount) for block, icount
-                           in state["i_entries"]]
-        self._d_entries = [(block, icount) for block, icount
-                           in state["d_entries"]]
-        self._b_entries = [
-            BranchEntry(pc, taken, indirect, target, kind, icount)
-            for pc, taken, indirect, target, kind, icount
-            in state["b_entries"]]
-        self._i_idx = state["i_idx"]
-        self._d_idx = state["d_idx"]
-        self._b_idx = state["b_idx"]
-        self._bt_idx = state["bt_idx"]
-        self._shadow_pir = state["shadow_pir"]
-        self.active = state["active"]
-
     # -- per-instruction polling ----------------------------------------------
 
     def poll(self, icount: int, cycle: int) -> None:

@@ -64,10 +64,7 @@ class ProcessBackend(ExecutionBackend):
                 future = pool.submit(
                     entry, app, config, runner.scale, runner.seed,
                     str(runner.cache_dir), runner.use_disk_cache,
-                    worker_log_dir,
-                    checkpoint_events=runner.checkpoint_events,
-                    heartbeat_timeout=runner.heartbeat_timeout,
-                    mem_limit_mb=runner.mem_limit_mb)
+                    worker_log_dir, mem_limit_mb=runner.mem_limit_mb)
                 meta[future] = (index, key, app)
                 submitted[future] = time.monotonic()
                 pending.add(future)
@@ -105,9 +102,8 @@ class ProcessBackend(ExecutionBackend):
                         continue
                     except MemoryError:
                         # the worker hit its RSS ceiling and bailed at an
-                        # event boundary (checkpoint intact); finish the
-                        # task at serial fan-out where the whole budget
-                        # is its own
+                        # event boundary; re-run the task at serial
+                        # fan-out where the whole budget is its own
                         runner._note_memory_pressure(key, app)
                         continue
                     except Exception:  # noqa: BLE001 — ladder re-raises

@@ -130,32 +130,6 @@ class SetAssocCache:
             blocks.extend(cache_set.keys())
         return blocks
 
-    # -- checkpointing -----------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """JSON-safe snapshot: per-set resident blocks in LRU→MRU order
-        plus the demand counters. Geometry is not captured — it is derived
-        from configuration, and :meth:`load_state` requires it to match."""
-        return {
-            "sets": [list(cache_set) for cache_set in self._sets],
-            "stats": [self.stats.accesses, self.stats.misses,
-                      self.stats.fills, self.stats.evictions],
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot in place."""
-        sets = state["sets"]
-        if len(sets) != self.num_sets:
-            raise ValueError(
-                f"{self.name}: checkpoint has {len(sets)} sets, "
-                f"cache has {self.num_sets}")
-        for cache_set, blocks in zip(self._sets, sets):
-            cache_set.clear()
-            for block in blocks:
-                cache_set[block] = None
-        (self.stats.accesses, self.stats.misses,
-         self.stats.fills, self.stats.evictions) = state["stats"]
-
     def __len__(self) -> int:
         return sum(len(s) for s in self._sets)
 

@@ -93,32 +93,6 @@ class Cachelet:
         else:
             self._cache.clear()
 
-    def state_dict(self) -> dict:
-        """JSON-safe snapshot. ``_dirty``/``touched``/``_resident`` are
-        membership-only sets, so a sorted listing restores them exactly;
-        the bounded backing cache carries its own LRU order."""
-        state = {
-            "dirty": sorted(self._dirty),
-            "touched": sorted(self.touched),
-            "stats": [self.stats.accesses, self.stats.misses,
-                      self.stats.dirty_evictions],
-        }
-        if self.unbounded:
-            state["resident"] = sorted(self._resident)
-        else:
-            state["cache"] = self._cache.state_dict()
-        return state
-
-    def load_state(self, state: dict) -> None:
-        self._dirty = set(state["dirty"])
-        self.touched = set(state["touched"])
-        (self.stats.accesses, self.stats.misses,
-         self.stats.dirty_evictions) = state["stats"]
-        if self.unbounded:
-            self._resident = set(state["resident"])
-        else:
-            self._cache.load_state(state["cache"])
-
     def absorb(self, other: "Cachelet") -> None:
         """Install ``other``'s resident blocks here (promotion path)."""
         for block in other.resident_blocks():
@@ -167,12 +141,3 @@ class CacheletPair:
     def clear_all(self) -> None:
         for cachelet in self.modes:
             cachelet.clear()
-
-    def state_dict(self) -> list[dict]:
-        return [cachelet.state_dict() for cachelet in self.modes]
-
-    def load_state(self, state: list[dict]) -> None:
-        if len(state) != len(self.modes):
-            raise ValueError("cachelet mode count mismatch")
-        for cachelet, mode_state in zip(self.modes, state):
-            cachelet.load_state(mode_state)

@@ -90,21 +90,6 @@ class _PendingPrefetches:
         self.stats.useless += len(self.ready_at)
         self.ready_at.clear()
 
-    def state_dict(self) -> dict:
-        # ready_at insertion order is load-bearing (oldest-first eviction),
-        # so serialize as an ordered pair list, never a JSON object
-        return {
-            "ready": [[block, ready] for block, ready
-                      in self.ready_at.items()],
-            "stats": [self.stats.issued, self.stats.useful,
-                      self.stats.late, self.stats.useless],
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.ready_at = {block: ready for block, ready in state["ready"]}
-        (self.stats.issued, self.stats.useful,
-         self.stats.late, self.stats.useless) = state["stats"]
-
 
 class MemoryHierarchy:
     """Two-level cache hierarchy with prefetch timeliness tracking."""
@@ -234,31 +219,6 @@ class MemoryHierarchy:
         if self.bandwidth_stall_cycles:
             registry.inc("mem.bandwidth_stall_cycles",
                          int(self.bandwidth_stall_cycles))
-
-    # -- checkpointing -----------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """JSON-safe snapshot of every mutable piece of hierarchy state:
-        cache arrays, pending prefetches, and the DRAM-bus model."""
-        return {
-            "l1i": self.l1i.state_dict(),
-            "l1d": self.l1d.state_dict(),
-            "l2": self.l2.state_dict(),
-            "pending": {side: pending.state_dict()
-                        for side, pending in self._pending.items()},
-            "dram_free": self._dram_free,
-            "bandwidth_stall_cycles": self.bandwidth_stall_cycles,
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot in place."""
-        self.l1i.load_state(state["l1i"])
-        self.l1d.load_state(state["l1d"])
-        self.l2.load_state(state["l2"])
-        for side, pending in self._pending.items():
-            pending.load_state(state["pending"][side])
-        self._dram_free = state["dram_free"]
-        self.bandwidth_stall_cycles = state["bandwidth_stall_cycles"]
 
     def drop_pending(self, side: str) -> None:
         """Discard unconsumed prefetches (used between events when recorded

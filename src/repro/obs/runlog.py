@@ -29,13 +29,6 @@ Record kinds (``kind`` field):
   key / app when known.
 * ``task-failed`` — a grid task that exhausted its attempt budget and was
   marked failed in the grid manifest, with its final reason.
-* ``checkpoint`` — one mid-simulation checkpoint generation persisted:
-  cache key, app, the event position it covers.
-* ``resume`` — a simulation restored from a checkpoint: cache key, app,
-  the resumed event position, and how many corrupt generations were
-  skipped (quarantined) on the way (``fallbacks``).
-* ``stalled`` — the heartbeat watchdog killed a stalled worker: task key,
-  app, the worker pid and its heartbeat age in seconds.
 * ``fanout-disabled`` — a ``jobs="auto"`` runner found one usable CPU and
   fell back to serial execution: the CPU count and pid.
 """

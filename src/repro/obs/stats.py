@@ -5,18 +5,17 @@ Backs the ``repro stats`` CLI subcommand: reads the records written by
 rates, retry counts (requeued tasks broken out), the execution backends
 that served the simulated runs (the per-app ``backend`` column plus the
 ``backends —`` summary line, with ``auto``'s resolved picks), detected
-cache corruptions (per artifact kind), permanently failed tasks, the
-mid-simulation resilience activity — checkpoints written, resumes (with
-generation fallbacks) and stalled-worker kills — as a human-readable
-table plus a machine-readable summary dict (``--json``). Every
-quarantine event the harness performs is a ``corrupt`` record, so this
-report is the audit trail of how much on-disk state had to be
-regenerated. Fields this
-module does not know (such as the ``kernel`` / ``memo_*`` / ``fidelity``
-fields of logs written before those mechanisms were removed) are
-ignored, and so are record kinds it does not know (such as the
-``worker-join`` / ``steal`` / ``fetch`` records of the retired remote
-backend), so old logs still summarise.
+cache corruptions (per artifact kind) and permanently failed tasks, as
+a human-readable table plus a machine-readable summary dict
+(``--json``). Every quarantine event the harness performs is a
+``corrupt`` record, so this report is the audit trail of how much
+on-disk state had to be regenerated. Fields this module does not know
+(such as the ``kernel`` / ``memo_*`` / ``fidelity`` fields of logs
+written before those mechanisms were removed) are ignored, and so are
+record kinds it does not know (such as the ``worker-join`` / ``steal`` /
+``fetch`` records of the retired remote backend, or the ``checkpoint`` /
+``resume`` / ``stalled`` records of the retired mid-simulation
+checkpointing and worker watchdog), so old logs still summarise.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ _HIT_DISPOSITIONS = ("memory", "disk")
 def _fresh_app_bucket() -> dict:
     return {"runs": 0, "simulated": 0, "cache_hits": 0, "retries": 0,
             "requeued": 0, "corruptions": 0, "failures": 0,
-            "checkpoints": 0, "resumes": 0,
             "backends": {},
             "trace_load_s": 0.0, "simulate_s": 0.0, "store_s": 0.0}
 
@@ -42,13 +40,11 @@ def summarize(records) -> dict:
          "corruptions": int, "corrupt_by_artifact": {artifact: int},
          "task_failures": int, "backends": {backend: int},
          "backend_choices": {backend: int},
-         "checkpoints": int, "resumes": int, "resume_fallbacks": int,
-         "stalled_kills": int,
          "simulate_s": float, "apps": {app: {...per-app...}}}
 
     Per-app buckets carry run/hit/retry/corruption/failure counts, the
-    execution backends that served the simulated runs, the
-    checkpoint/resume counts, the summed trace-load / simulate / store
+    execution backends that served the simulated runs, the summed
+    trace-load / simulate / store
     seconds, the mean simulation time and the simulation throughput
     (simulated runs per second of simulate time). ``requeued`` counts
     the retry records whose reason was ``requeued`` — healthy tasks that
@@ -58,7 +54,6 @@ def summarize(records) -> dict:
     apps: dict[str, dict] = {}
     runs = simulated = cache_hits = retries = requeued = 0
     corruptions = task_failures = 0
-    checkpoints = resumes = resume_fallbacks = stalled_kills = 0
     corrupt_by_artifact: dict[str, int] = {}
     backend_choices: dict[str, int] = {}
     for record in records:
@@ -105,17 +100,6 @@ def summarize(records) -> dict:
         elif kind == "task-failed":
             task_failures += 1
             apps.setdefault(app, _fresh_app_bucket())["failures"] += 1
-        elif kind == "checkpoint":
-            checkpoints += 1
-            apps.setdefault(app, _fresh_app_bucket())["checkpoints"] += 1
-        elif kind == "resume":
-            resumes += 1
-            apps.setdefault(app, _fresh_app_bucket())["resumes"] += 1
-            fallbacks = record.get("fallbacks")
-            if isinstance(fallbacks, int):
-                resume_fallbacks += fallbacks
-        elif kind == "stalled":
-            stalled_kills += 1
     for bucket in apps.values():
         sim_s = bucket["simulate_s"]
         n_sim = bucket["simulated"]
@@ -141,10 +125,6 @@ def summarize(records) -> dict:
         "backends": {b: backends_total[b] for b in sorted(backends_total)},
         "backend_choices": {b: backend_choices[b]
                             for b in sorted(backend_choices)},
-        "checkpoints": checkpoints,
-        "resumes": resumes,
-        "resume_fallbacks": resume_fallbacks,
-        "stalled_kills": stalled_kills,
         "simulate_s": sum(b["simulate_s"] for b in apps.values()),
         "apps": {app: apps[app] for app in sorted(apps)},
     }
@@ -164,15 +144,13 @@ def _backend_cell(backends: dict) -> str:
 def format_table(summary: dict) -> str:
     """Render a :func:`summarize` dict as a fixed-width text table."""
     if not summary["runs"] and not summary["retries"] \
-            and not summary.get("corruptions") \
-            and not summary.get("checkpoints") \
-            and not summary.get("stalled_kills"):
+            and not summary.get("corruptions"):
         return "no run records found"
     lines = [
         f"{'app':<12} {'runs':>6} {'sim':>6} {'hits':>6} {'hit%':>6} "
         f"{'sim s':>9} {'mean s':>8} {'sims/s':>8} "
         f"{'backend':>7} "
-        f"{'retry':>5} {'corr':>4} {'fail':>4} {'ckpt':>5} {'res':>4}"
+        f"{'retry':>5} {'corr':>4} {'fail':>4}"
     ]
     for app, b in summary["apps"].items():
         lines.append(
@@ -182,8 +160,7 @@ def format_table(summary: dict) -> str:
             f"{b['throughput_per_s']:>8.2f} "
             f"{_backend_cell(b.get('backends', {})):>7} "
             f"{b['retries']:>5} "
-            f"{b.get('corruptions', 0):>4} {b.get('failures', 0):>4} "
-            f"{b.get('checkpoints', 0):>5} {b.get('resumes', 0):>4}")
+            f"{b.get('corruptions', 0):>4} {b.get('failures', 0):>4}")
     lines.append(
         f"{'total':<12} {summary['runs']:>6} {summary['simulated']:>6} "
         f"{summary['cache_hits']:>6} "
@@ -191,9 +168,7 @@ def format_table(summary: dict) -> str:
         f"{summary['simulate_s']:>9.3f} {'':>8} {'':>8} "
         f"{_backend_cell(summary.get('backends', {})):>7} "
         f"{summary['retries']:>5} {summary.get('corruptions', 0):>4} "
-        f"{summary.get('task_failures', 0):>4} "
-        f"{summary.get('checkpoints', 0):>5} "
-        f"{summary.get('resumes', 0):>4}")
+        f"{summary.get('task_failures', 0):>4}")
     if summary.get("backends") or summary.get("backend_choices"):
         parts = ", ".join(f"{backend}: {count}" for backend, count
                           in summary.get("backends", {}).items())
@@ -208,11 +183,7 @@ def format_table(summary: dict) -> str:
         detail = ", ".join(f"{artifact}: {count}" for artifact, count
                            in summary["corrupt_by_artifact"].items())
         lines.append(f"corrupt artifacts quarantined — {detail}")
-    if summary.get("resumes") or summary.get("stalled_kills") \
-            or summary.get("resume_fallbacks") or summary.get("requeued"):
+    if summary.get("requeued"):
         lines.append(
-            f"resilience — resumes: {summary.get('resumes', 0)}, "
-            f"generation fallbacks: {summary.get('resume_fallbacks', 0)}, "
-            f"stalled workers killed: {summary.get('stalled_kills', 0)}, "
-            f"tasks requeued: {summary.get('requeued', 0)}")
+            f"resilience — tasks requeued: {summary['requeued']}")
     return "\n".join(lines)

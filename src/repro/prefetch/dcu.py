@@ -38,13 +38,3 @@ class DcuPrefetcher(Prefetcher):
         self._streak_block = None
         self._streak = 0
         self._armed_for = None
-
-    def state_dict(self) -> dict:
-        return {"streak_block": self._streak_block,
-                "streak": self._streak,
-                "armed_for": self._armed_for}
-
-    def load_state(self, state: dict) -> None:
-        self._streak_block = state["streak_block"]
-        self._streak = state["streak"]
-        self._armed_for = state["armed_for"]

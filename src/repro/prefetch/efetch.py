@@ -111,26 +111,6 @@ class EfetchPrefetcher(Prefetcher):
         self._context = 0
         self._stack.clear()
 
-    def state_dict(self) -> dict:
-        # both the outer (context LRU) and inner (footprint LRU) orders
-        # decide future evictions — serialize both as ordered lists
-        return {
-            "table": [[context, list(footprint)]
-                      for context, footprint in self._table.items()],
-            "context": self._context,
-            "stack": list(self._stack),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._table = OrderedDict()
-        for context, blocks in state["table"]:
-            footprint: OrderedDict[int, None] = OrderedDict()
-            for block in blocks:
-                footprint[block] = None
-            self._table[context] = footprint
-        self._context = state["context"]
-        self._stack = list(state["stack"])
-
     def metrics_snapshot(self) -> dict[str, float]:
         """Learned-context count and total recorded footprint blocks."""
         return {"prefetch.efetch.contexts": len(self._table),

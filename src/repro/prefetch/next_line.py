@@ -29,9 +29,3 @@ class NextLineIPrefetcher(Prefetcher):
 
     def reset(self) -> None:
         self._last_block = None
-
-    def state_dict(self) -> dict:
-        return {"last_block": self._last_block}
-
-    def load_state(self, state: dict) -> None:
-        self._last_block = state["last_block"]

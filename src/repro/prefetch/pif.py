@@ -105,22 +105,6 @@ class PifPrefetcher(Prefetcher):
         self._replay_pos = None
         self._replayed = 0
 
-    def state_dict(self) -> dict:
-        return {
-            "history": list(self._history),
-            "head": self._head,
-            "index": [[block, pos] for block, pos in self._index.items()],
-            "replay_pos": self._replay_pos,
-            "replayed": self._replayed,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._history = list(state["history"])
-        self._head = state["head"]
-        self._index = {block: pos for block, pos in state["index"]}
-        self._replay_pos = state["replay_pos"]
-        self._replayed = state["replayed"]
-
     def metrics_snapshot(self) -> dict[str, float]:
         """Index size (distinct blocks with a recorded position)."""
         return {"prefetch.pif.index_entries": len(self._index)}

@@ -66,19 +66,6 @@ class StridePrefetcher(Prefetcher):
     def reset(self) -> None:
         self._table.clear()
 
-    def state_dict(self) -> dict:
-        # entry order is the LRU order — keep it as an ordered quad list
-        return {"table": [[pc, e.last_addr, e.stride, e.confidence]
-                          for pc, e in self._table.items()]}
-
-    def load_state(self, state: dict) -> None:
-        self._table = OrderedDict()
-        for pc, last_addr, stride, confidence in state["table"]:
-            entry = _Entry(last_addr)
-            entry.stride = stride
-            entry.confidence = confidence
-            self._table[pc] = entry
-
     def metrics_snapshot(self) -> dict[str, float]:
         """Table occupancy and established-confidence entry count."""
         confident = sum(1 for e in self._table.values()

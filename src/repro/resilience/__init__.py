@@ -1,24 +1,21 @@
 """Crash-safe, self-healing persistence for the experiment harness.
 
 Every durable artifact the harness writes — ``.espt`` traces, result-cache
-JSON, grid manifests, mid-simulation checkpoints — can be hit by
-bit-flips, torn writes, or partial sweeps. This package makes that
-corruption *detectable* (content checksums,
-:mod:`repro.resilience.integrity`), *visible* (quarantine directory,
-``cache.corrupt`` metrics, ``corrupt`` run-log records) and *recoverable*
-(regeneration, resumable grid manifests via
-:mod:`repro.resilience.manifest`, and generational checkpoint resume via
-:mod:`repro.resilience.checkpoint`). Live failures are covered too:
-:mod:`repro.resilience.memory` supervises worker heartbeats, kills
-stalled workers, and guards disk/memory pressure so retries resume from
-checkpoints instead of repeating work. A deterministic fault-injection
-harness (:mod:`repro.resilience.faults`, ``REPRO_FAULTS``) proves the
-recovery paths: a figure grid run under injected worker kills (at task
-start or mid-simulation), worker stalls, artifact corruption and torn
-writes must still produce results bit-identical to a clean serial run.
+JSON, grid manifests — can be hit by bit-flips, torn writes, or partial
+sweeps. This package makes that corruption *detectable* (content
+checksums, :mod:`repro.resilience.integrity`), *visible* (quarantine
+directory, ``cache.corrupt`` metrics, ``corrupt`` run-log records) and
+*recoverable* (regeneration, and resumable grid manifests via
+:mod:`repro.resilience.manifest`). The task is the recovery unit: a
+worker lost mid-simulation re-runs its task from the first event, and
+:mod:`repro.resilience.memory` guards worker memory so an oversized task
+retries at reduced fan-out instead of being OOM-killed. A deterministic
+fault-injection harness (:mod:`repro.resilience.faults`, ``REPRO_FAULTS``)
+proves the recovery paths: a figure grid run under injected worker
+kills, artifact corruption, torn writes and grid interrupts must still
+produce results bit-identical to a clean serial run.
 """
 
-from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.faults import (FaultPlan, GridInterrupt,
                                      get_fault_plan, set_fault_plan)
 from repro.resilience.integrity import (IntegrityError, payload_digest,
@@ -26,19 +23,15 @@ from repro.resilience.integrity import (IntegrityError, payload_digest,
                                         wrap_result)
 from repro.resilience.manifest import (GridManifest, config_from_dict,
                                        config_to_dict)
-from repro.resilience.memory import (Heartbeat, MemoryPressure,
-                                     WorkerWatchdog, apply_memory_limit,
+from repro.resilience.memory import (MemoryPressure, apply_memory_limit,
                                      check_memory, rss_bytes)
 
 __all__ = [
-    "CheckpointStore",
     "FaultPlan",
     "GridInterrupt",
     "GridManifest",
-    "Heartbeat",
     "IntegrityError",
     "MemoryPressure",
-    "WorkerWatchdog",
     "apply_memory_limit",
     "check_memory",
     "config_from_dict",

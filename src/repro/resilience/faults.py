@@ -13,13 +13,6 @@ Kinds:
   before it lands (exercises the digest envelope).
 * ``kill_worker`` — ``os._exit`` a pool worker at task start (exercises
   ``BrokenProcessPool`` recovery and the timeout-bounded serial retry).
-* ``kill_mid_sim`` — ``os._exit`` a pool worker at a mid-simulation event
-  boundary, after that boundary's checkpoint has landed (exercises
-  checkpointed resume: the retry must continue from the checkpoint, not
-  restart, and still produce a bit-identical result).
-* ``stall_worker`` — hang a pool worker at an event boundary long enough
-  that the parent's heartbeat watchdog declares it stalled and kills it
-  (exercises :class:`~repro.resilience.memory.WorkerWatchdog`).
 * ``interrupt`` — raise :class:`GridInterrupt` in the parent between grid
   tasks (exercises manifest persistence and ``repro run --resume``).
 
@@ -37,7 +30,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import time
 import warnings
 from pathlib import Path
 
@@ -47,8 +39,7 @@ _FAULTS_ENV = "REPRO_FAULTS"
 
 #: the fault kinds the harness wires up (unknown kinds in a spec are
 #: carried but never queried)
-KNOWN_KINDS = ("corrupt_trace", "torn_write", "kill_worker",
-               "kill_mid_sim", "stall_worker", "interrupt")
+KNOWN_KINDS = ("corrupt_trace", "torn_write", "kill_worker", "interrupt")
 
 #: malformed spec parts already warned about (one warning per part)
 _warned_parts: set[str] = set()
@@ -135,20 +126,6 @@ class FaultPlan:
         death — no exception, no cleanup — a real OOM kill produces)."""
         if self.fires("kill_worker", token):
             os._exit(137)
-
-    def maybe_kill_mid_sim(self, token: str) -> None:
-        """``os._exit`` the process when ``kill_mid_sim`` fires. Wired to
-        the simulator's event hook *after* the boundary's checkpoint is
-        persisted, so the death always leaves a resumable generation."""
-        if self.fires("kill_mid_sim", token):
-            os._exit(137)
-
-    def maybe_stall(self, token: str, duration: float = 30.0) -> None:
-        """Sleep ``duration`` seconds when ``stall_worker`` fires — far
-        longer than any test watchdog timeout, so the parent's heartbeat
-        sweep (not this sleep expiring) is what ends the worker."""
-        if self.fires("stall_worker", token):
-            time.sleep(duration)
 
     def maybe_interrupt(self, token: str) -> None:
         """Raise :class:`GridInterrupt` when ``interrupt`` fires."""

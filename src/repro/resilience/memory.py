@@ -1,49 +1,23 @@
-"""Worker liveness supervision and resource-pressure guards.
+"""Worker memory guard.
 
-Three independent mechanisms keep a long campaign from being taken down
-by one sick worker or a starved machine:
-
-* **Heartbeats** (:class:`Heartbeat`) — each pool worker owns one file
-  under ``<cache>/heartbeats/`` that it rewrites atomically (throttled)
-  at every event boundary. The file body records the worker pid, the
-  supervising parent pid, the task being simulated, and a
-  ``time.monotonic()`` liveness stamp.
-* **Watchdog** (:class:`WorkerWatchdog`) — a daemon thread in the parent
-  sweeps the heartbeat directory; a beacon whose monotonic stamp is
-  older than the configured timeout marks a stalled worker, which is
-  killed (SIGKILL) so the process pool's broken-pool recovery re-runs
-  the task — from its newest checkpoint, not from scratch. Liveness is
-  judged monotonic-against-monotonic (parent and workers share one boot,
-  hence one monotonic clock), never against the wall clock, so an NTP
-  step can neither kill a healthy worker nor spare a stalled one; the
-  file mtime is consulted only for beacons written by older code and for
-  the wall-scale orphan sweep. Only heartbeats naming *this* parent are
-  ever acted on; other campaigns' files are left alone unless they are
-  ancient orphans (a judgement that must survive reboots, which is why
-  it alone stays on file mtime).
-* **Memory guard** (:func:`apply_memory_limit` / :func:`check_memory`) —
-  a best-effort address-space rlimit in the worker plus a periodic
-  peak-RSS check that raises :class:`MemoryPressure` at an event
-  boundary, converting a would-be OOM kill into an orderly, checkpointed
-  retry at reduced fan-out.
+A long campaign must not be taken down by one worker that outgrows the
+machine. :func:`apply_memory_limit` installs a best-effort address-space
+rlimit in a pool worker, and :func:`check_memory` runs at every event
+boundary and raises :class:`MemoryPressure` once peak RSS crosses the
+configured ceiling (``REPRO_MEM_LIMIT_MB``). That converts a would-be OOM
+kill into an orderly retry of the task at reduced fan-out.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import signal
 import sys
-import threading
-import time
-from pathlib import Path
 
 
 class MemoryPressure(MemoryError):
     """The worker's peak RSS crossed the configured ceiling. Subclasses
     :class:`MemoryError` (and lives at module level, so it pickles across
     the process-pool boundary) — the runner treats it like the OOM kill
-    it preempts, minus the lost work."""
+    it preempts and re-runs the task at reduced fan-out."""
 
 
 def rss_bytes() -> int | None:
@@ -68,7 +42,7 @@ def apply_memory_limit(limit_mb: int) -> bool:
     ahead of resident memory, so the rlimit is only the hard backstop
     against runaway allocation — the graceful path is
     :func:`check_memory` raising :class:`MemoryPressure` at an event
-    boundary, while a checkpoint is still recent.
+    boundary.
     """
     if limit_mb <= 0:
         return False
@@ -97,173 +71,3 @@ def check_memory(limit_mb: int) -> None:
         raise MemoryPressure(
             f"worker peak RSS {rss // (1024 * 1024)} MiB exceeds the "
             f"{limit_mb} MiB ceiling")
-
-
-class Heartbeat:
-    """One worker's liveness beacon."""
-
-    def __init__(self, cache_dir: Path | str, key: str, app: str = "",
-                 interval: float = 1.0) -> None:
-        self.path = Path(cache_dir) / "heartbeats" / f"hb-{os.getpid()}.json"
-        self.interval = interval
-        self._last_beat = 0.0
-        self._started = False
-        self.key = key
-        self.app = app
-
-    def _write(self, stamp: float) -> None:
-        """Atomically (re)write the beacon body — pid, supervising
-        parent, task, and the monotonic liveness stamp. Atomic so the
-        watchdog never reads a torn body and mistakes our beacon for a
-        foreign one."""
-        tmp = self.path.parent / (self.path.name + ".tmp")
-        tmp.write_text(json.dumps({
-            "pid": os.getpid(),
-            "parent": os.getppid(),
-            "key": self.key,
-            "app": self.app,
-            "beat_mono": stamp,
-        }))
-        os.replace(tmp, self.path)
-
-    def start(self) -> None:
-        """Write the beacon file."""
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            now = time.monotonic()
-            self._write(now)
-            self._started = True
-            self._last_beat = now
-        except OSError:
-            self._started = False
-
-    def beat(self) -> None:
-        """Advance the beacon's monotonic stamp, throttled to
-        ``interval`` so the hot loop pays one clock read per event, not
-        one write."""
-        if not self._started:
-            return
-        now = time.monotonic()
-        if now - self._last_beat < self.interval:
-            return
-        self._last_beat = now
-        try:
-            self._write(now)
-        except OSError:
-            self._started = False
-
-    def stop(self) -> None:
-        """Remove the beacon (the task finished; nothing to supervise)."""
-        self._started = False
-        try:
-            self.path.unlink(missing_ok=True)
-        except OSError:
-            pass
-
-
-class WorkerWatchdog:
-    """Parent-side supervisor that kills workers whose heartbeat stalls.
-
-    ``on_stall`` (optional) is called with a record dict — pid, task key,
-    app, heartbeat age — for every kill, so the runner can log and count
-    them. Killing a pool worker trips the executor's broken-pool
-    recovery, whose retry resumes the task from its newest checkpoint.
-    """
-
-    def __init__(self, cache_dir: Path | str, timeout: float,
-                 on_stall=None) -> None:
-        self.dir = Path(cache_dir) / "heartbeats"
-        self.timeout = timeout
-        self.on_stall = on_stall
-        #: stalled workers killed so far
-        self.kills = 0
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def start(self) -> None:
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-watchdog", daemon=True)
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=self.timeout)
-            self._thread = None
-
-    def _run(self) -> None:
-        # poll well inside the timeout so a stall is caught within ~1.25x
-        poll = max(self.timeout / 4.0, 0.05)
-        while not self._stop.wait(poll):
-            self.sweep()
-
-    def sweep(self) -> int:
-        """One pass over the heartbeat directory; returns workers killed.
-
-        Our own workers' staleness is judged on the beacon body's
-        monotonic stamp against ``time.monotonic()`` — same boot, same
-        clock, immune to NTP steps. Beacons without a stamp (written by
-        older code) fall back to file mtime against the wall clock.
-        Foreign beacons are aged on wall mtime only: an orphan judgement
-        must hold across reboots, where monotonic stamps mean nothing.
-        """
-        mono_now = time.monotonic()
-        wall_now = time.time()
-        killed_here = 0
-        try:
-            beacons = list(self.dir.glob("hb-*.json"))
-        except OSError:
-            return 0
-        for path in beacons:
-            try:
-                wall_age = wall_now - path.stat().st_mtime
-            except OSError:
-                continue  # raced with the worker's own cleanup
-            try:
-                info = json.loads(path.read_text())
-            except ValueError:
-                info = {}  # corrupt body: never ours (our writes are
-                #            atomic), but still orphan-sweepable
-            except OSError:
-                continue
-            if info.get("parent") != os.getpid():
-                # not ours to kill — but sweep ancient orphans whose
-                # parent campaign is long gone
-                if wall_age > max(self.timeout * 10.0, 60.0):
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
-                continue
-            stamp = info.get("beat_mono")
-            age = mono_now - stamp if isinstance(stamp, (int, float)) \
-                else wall_age
-            if age <= self.timeout:
-                continue
-            pid = info.get("pid")
-            killed = False
-            if isinstance(pid, int) and pid > 0:
-                sig = getattr(signal, "SIGKILL", signal.SIGTERM)
-                try:
-                    os.kill(pid, sig)
-                    killed = True
-                except ProcessLookupError:
-                    pass  # already dead; just sweep the beacon
-                except OSError:
-                    pass
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            if killed:
-                self.kills += 1
-                killed_here += 1
-                if self.on_stall is not None:
-                    self.on_stall({
-                        "pid": pid,
-                        "key": info.get("key", ""),
-                        "app": info.get("app", ""),
-                        "age": age,
-                    })
-        return killed_here

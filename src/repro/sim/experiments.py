@@ -59,21 +59,14 @@ interrupted campaign resumes from where it stopped via
 deterministic corruption, torn writes, worker kills and grid interrupts
 through these same paths for testing.
 
-Mid-simulation resilience: ``REPRO_CHECKPOINT_EVENTS`` (default 0 = off)
-makes every simulation persist a full-state checkpoint every N event
-boundaries via :class:`~repro.resilience.checkpoint.CheckpointStore`, so
-a task killed mid-run resumes from its newest valid generation instead of
-restarting — bit-identically, which the chaos suite proves under the
-``kill_mid_sim`` fault. ``REPRO_HEARTBEAT_TIMEOUT`` arms a parent-side
-:class:`~repro.resilience.memory.WorkerWatchdog` that kills pool
-workers whose per-task heartbeat file goes stale (hung simulation, stuck
-I/O) so the broken-pool recovery — and the checkpointed resume — takes
-over. Resource-pressure guards degrade before they fail:
-``REPRO_MIN_DISK_MB`` switches the runner to no-write-cache mode when the
-cache volume runs low, and ``REPRO_MEM_LIMIT_MB`` bounds worker address
-space and converts a would-be OOM kill into a
-:class:`~repro.resilience.memory.MemoryPressure` retry at reduced
-fan-out.
+The task is the recovery unit: a worker lost after its simulation
+began re-runs the task from its first event, which is bit-identical
+because every simulation is a pure function of its key. Resource-pressure
+guards degrade before they fail: ``REPRO_MIN_DISK_MB`` switches the
+runner to no-write-cache mode when the cache volume runs low, and
+``REPRO_MEM_LIMIT_MB`` bounds worker address space and converts a
+would-be OOM kill into a :class:`~repro.resilience.memory.MemoryPressure`
+retry at reduced fan-out.
 
 Observability: cache hits/misses/corruptions are counted in the
 :mod:`repro.obs.metrics` registry (no-op by default), every simulation
@@ -116,8 +109,7 @@ from repro.isa.tracefile import (
 from repro.obs.metrics import get_registry
 from repro.obs.progress import ProgressLine
 from repro.obs.runlog import RunLogWriter, default_log_dir
-from repro.resilience import (CheckpointStore, GridManifest, Heartbeat,
-                              WorkerWatchdog, apply_memory_limit,
+from repro.resilience import (GridManifest, apply_memory_limit,
                               check_memory, config_from_dict,
                               config_to_dict, get_fault_plan, quarantine,
                               unwrap_result, wrap_result)
@@ -135,8 +127,6 @@ _TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
 _LOG_DIR_ENV = "REPRO_LOG_DIR"
 _MAX_ATTEMPTS_ENV = "REPRO_MAX_ATTEMPTS"
 _BACKOFF_ENV = "REPRO_RETRY_BACKOFF"
-_CHECKPOINT_ENV = "REPRO_CHECKPOINT_EVENTS"
-_HEARTBEAT_ENV = "REPRO_HEARTBEAT_TIMEOUT"
 _MIN_DISK_ENV = "REPRO_MIN_DISK_MB"
 _MEM_LIMIT_ENV = "REPRO_MEM_LIMIT_MB"
 
@@ -262,18 +252,6 @@ def default_retry_backoff() -> float:
     return max(0.0, _env_or_default(_BACKOFF_ENV, 0.25, float))
 
 
-def default_checkpoint_events() -> int:
-    """Checkpoint cadence in events from ``REPRO_CHECKPOINT_EVENTS``
-    (default 0 = no mid-simulation checkpoints)."""
-    return max(0, _env_or_default(_CHECKPOINT_ENV, 0, int))
-
-
-def default_heartbeat_timeout() -> float:
-    """Seconds of heartbeat silence before the watchdog kills a worker,
-    from ``REPRO_HEARTBEAT_TIMEOUT`` (default 0 = no watchdog)."""
-    return max(0.0, _env_or_default(_HEARTBEAT_ENV, 0.0, float))
-
-
 def default_min_disk_mb() -> int:
     """Free-space floor (MB) below which cache writes are disabled, from
     ``REPRO_MIN_DISK_MB`` (default 50; 0 disables the preflight)."""
@@ -333,8 +311,6 @@ def default_cache_dir() -> Path:
 def _run_in_worker(app: str, config: SimConfig, scale: float, seed: int,
                    cache_dir: str, use_disk_cache: bool,
                    log_dir: str | None = None, attempt: int = 1,
-                   checkpoint_events: int | None = None,
-                   heartbeat_timeout: float | None = None,
                    mem_limit_mb: int | None = None) -> dict:
     """Worker-process entry point: run one simulation, sharing the on-disk
     caches — and the JSONL run log — with the parent (module-level so it
@@ -342,34 +318,20 @@ def _run_in_worker(app: str, config: SimConfig, scale: float, seed: int,
     of the same task in fault-injection tokens, so an injected worker kill
     cannot pin a task down across its whole attempt budget.
 
-    Only here — never on the parent's inline path — are the in-process
-    hazards armed: the memory rlimit, the liveness heartbeat, and the
-    mid-simulation fault hooks (which ``os._exit`` or stall the process
-    they run in, so they must only ever run in an expendable worker).
+    Only here — never on the parent's inline path — is the memory guard
+    armed (the rlimit and the per-event RSS check), since it ends the
+    process it runs in.
     """
     get_fault_plan().maybe_kill_worker(
         f"{app}-{config.cache_key()}#{attempt}")
     runner = ExperimentRunner(cache_dir=cache_dir, scale=scale, seed=seed,
                               use_disk_cache=use_disk_cache, jobs=1,
-                              log_dir=log_dir,
-                              checkpoint_events=checkpoint_events,
-                              heartbeat_timeout=heartbeat_timeout,
-                              mem_limit_mb=mem_limit_mb)
+                              log_dir=log_dir, mem_limit_mb=mem_limit_mb)
     runner.is_worker = True
-    runner.worker_attempt = attempt
     runner.backend_label = "process"
     if runner.mem_limit_mb:
         apply_memory_limit(runner.mem_limit_mb)
-    heartbeat = None
-    if runner.heartbeat_timeout > 0 and use_disk_cache:
-        heartbeat = Heartbeat(cache_dir, runner._key(app, config), app=app)
-        heartbeat.start()
-        runner.heartbeat = heartbeat
-    try:
-        return runner.run(app, config).to_dict()
-    finally:
-        if heartbeat is not None:
-            heartbeat.stop()
+    return runner.run(app, config).to_dict()
 
 
 class ExperimentRunner:
@@ -384,8 +346,6 @@ class ExperimentRunner:
                  log_dir: Path | str | None = None,
                  max_attempts: int | None = None,
                  retry_backoff: float | None = None,
-                 checkpoint_events: int | None = None,
-                 heartbeat_timeout: float | None = None,
                  min_disk_mb: int | None = None,
                  mem_limit_mb: int | None = None) -> None:
         """``backend`` (or ``REPRO_BACKEND``) names the execution
@@ -397,11 +357,9 @@ class ExperimentRunner:
         schedule before a task is marked failed; ``log_dir`` forces JSONL
         run-logging into that directory (default: on when
         ``REPRO_LOG_DIR`` is set or metrics are enabled, next to the
-        result cache). ``checkpoint_events`` (``REPRO_CHECKPOINT_EVENTS``)
-        sets the mid-simulation checkpoint cadence, ``heartbeat_timeout``
-        (``REPRO_HEARTBEAT_TIMEOUT``) arms the stalled-worker watchdog,
-        and ``min_disk_mb`` / ``mem_limit_mb`` (``REPRO_MIN_DISK_MB`` /
-        ``REPRO_MEM_LIMIT_MB``) set the resource-pressure guards."""
+        result cache). ``min_disk_mb`` / ``mem_limit_mb``
+        (``REPRO_MIN_DISK_MB`` / ``REPRO_MEM_LIMIT_MB``) set the
+        resource-pressure guards."""
         self.scale = float(default_scale() if scale is None else scale)
         self.seed = default_seed() if seed is None else seed
         self.cache_dir = Path(cache_dir) if cache_dir is not None \
@@ -455,11 +413,6 @@ class ExperimentRunner:
             else max(1, int(max_attempts))
         self.retry_backoff = default_retry_backoff() \
             if retry_backoff is None else max(0.0, float(retry_backoff))
-        self.checkpoint_events = default_checkpoint_events() \
-            if checkpoint_events is None else max(0, int(checkpoint_events))
-        self.heartbeat_timeout = default_heartbeat_timeout() \
-            if heartbeat_timeout is None \
-            else max(0.0, float(heartbeat_timeout))
         self.min_disk_mb = default_min_disk_mb() if min_disk_mb is None \
             else max(0, int(min_disk_mb))
         self.mem_limit_mb = default_mem_limit_mb() if mem_limit_mb is None \
@@ -478,18 +431,14 @@ class ExperimentRunner:
                 "cpus": available_cpus(), "pid": os.getpid()})
         #: parallel tasks completed serially after a worker died/timed out
         self.retries = 0
-        #: stalled workers the heartbeat watchdog killed across batches
-        self.watchdog_kills = 0
         #: False once the disk-space preflight trips: caches are still
-        #: read, but nothing new is written (results, traces, manifests,
-        #: checkpoints) — degrade, don't fill the volume
+        #: read, but nothing new is written (results, traces, manifests)
+        #: — degrade, don't fill the volume
         self.cache_writes_enabled = True
-        #: set by :func:`_run_in_worker` in pool workers; gates the hazards
-        #: (heartbeat beats, mid-sim faults, memory checks) that must
-        #: never run on the parent's inline path
+        #: set by :func:`_run_in_worker` in pool workers; gates the
+        #: per-event memory check, which must never run on the parent's
+        #: inline path
         self.is_worker = False
-        self.worker_attempt = 1
-        self.heartbeat: Heartbeat | None = None
         self._memory: dict[str, SimResult] = {}
         self._traces: dict[str, EventTrace | LoadedTrace] = {}
         self._timings = (0.0, 0.0)
@@ -583,8 +532,7 @@ class ExperimentRunner:
         now = _anchored_now()
         cutoff = now - STALE_TMP_SECONDS - TMP_CLOCK_TOLERANCE_SECONDS
         nominal_cutoff = now - STALE_TMP_SECONDS
-        for pattern in ("*.tmp", "traces/*.tmp", "manifests/*.tmp",
-                        "checkpoints/*.tmp", "heartbeats/*.tmp"):
+        for pattern in ("*.tmp", "traces/*.tmp", "manifests/*.tmp"):
             for tmp in self.cache_dir.glob(pattern):
                 try:
                     mtime = tmp.stat().st_mtime
@@ -761,7 +709,7 @@ class ExperimentRunner:
         if cached is not None:
             return cached
         self.metrics.inc("cache.result.miss")
-        result = self._simulate(app, config, checkpoint_key=key)
+        result = self._simulate(app, config)
         trace_load_s, simulate_s = self._timings
         t0 = time.perf_counter()
         self._store(key, result)
@@ -771,118 +719,21 @@ class ExperimentRunner:
         return result
 
     def _simulate(self, app: str, config: SimConfig,
-                  checkpoint_key: str | None = None,
                   **run_kwargs) -> SimResult:
         t0 = time.perf_counter()
         trace = self.trace(app)
         t1 = time.perf_counter()
         sim = Simulator(trace, config)
-        store = self._arm_checkpoints(sim, checkpoint_key, app)
+        if self.is_worker and self.mem_limit_mb:
+            # MemoryPressure raises out of the process it runs in: only a
+            # pool worker checks its RSS ceiling at each event boundary
+            limit = self.mem_limit_mb
+            sim.event_hook = lambda _position: check_memory(limit)
         result = sim.run(**run_kwargs)
-        if store is not None:
-            # the run completed: its checkpoints were consumed, not
-            # corrupt, so they are deleted rather than quarantined
-            store.clear()
         # name the result after the preset for readable reports
         result.config = config.name
         self._timings = (t1 - t0, time.perf_counter() - t1)
         return result
-
-    # -- mid-simulation resilience ---------------------------------------------
-
-    def _arm_checkpoints(self, sim: Simulator, key: str | None,
-                         app: str) -> CheckpointStore | None:
-        """Wire one simulator's event boundaries into the resilience
-        machinery: resume from the newest valid checkpoint generation,
-        persist fresh generations at the configured cadence, and install
-        the per-event hook (heartbeat beats, mid-simulation fault
-        injection, memory-pressure checks — workers only)."""
-        store = None
-        if key is not None and self.use_disk_cache \
-                and self.checkpoint_events > 0:
-            store = CheckpointStore(self.cache_dir, key)
-            # sim.restore validates before mutating, so a rejected
-            # generation is quarantined and the next-older one is tried
-            position = store.load_latest(sim.restore)
-            if store.fallbacks:
-                self.metrics.inc("checkpoint.resume_fallbacks",
-                                 store.fallbacks)
-            if position is not None:
-                self.metrics.inc("checkpoint.resumes")
-                self._log_resume(key, app, position, store.fallbacks)
-            if self.cache_writes_enabled:
-                sim.checkpoint_every = self.checkpoint_events
-
-                def sink(state, _store=store, _key=key, _app=app):
-                    if _store.save(state) is not None:
-                        self.metrics.inc("checkpoint.written")
-                        self._log_checkpoint(
-                            _key, _app, state["loop"]["position"])
-
-                sim.checkpoint_sink = sink
-        hook = self._event_hook(key, app)
-        if hook is not None:
-            sim.event_hook = hook
-        return store
-
-    def _event_hook(self, key: str | None, app: str):
-        """The per-event-boundary hook for pool workers (None elsewhere):
-        heartbeat beats, ``kill_mid_sim`` / ``stall_worker`` fault draws,
-        and the memory-pressure check. Never armed on the parent's inline
-        path — these hazards end or hang the process they run in."""
-        if not self.is_worker:
-            return None
-        plan = get_fault_plan()
-        heartbeat = self.heartbeat
-        mem_limit = self.mem_limit_mb
-        if heartbeat is None and not plan.active and not mem_limit:
-            return None
-        token_base = f"{key or app}#{self.worker_attempt}"
-
-        def hook(position: int) -> None:
-            if heartbeat is not None:
-                heartbeat.beat()
-            if plan.active:
-                # the hook runs after the boundary's checkpoint landed,
-                # so an injected death always leaves a resumable state
-                plan.maybe_stall(f"{token_base}@{position}")
-                plan.maybe_kill_mid_sim(f"{token_base}@{position}")
-            if mem_limit:
-                check_memory(mem_limit)
-
-        return hook
-
-    def _note_stalled(self, record: dict) -> None:
-        """Account for one watchdog kill (metric + ``stalled`` run-log
-        record); the killed worker's task retries from its newest
-        checkpoint via the broken-pool recovery."""
-        self.metrics.inc("runner.stalled_kills")
-        if self._runlog.enabled:
-            self._runlog.write({
-                "kind": "stalled", "ts": round(time.time(), 3),
-                "key": record.get("key", ""),
-                "app": record.get("app", ""),
-                "worker_pid": record.get("pid"),
-                "age_s": round(float(record.get("age", 0.0)), 3),
-                "pid": os.getpid()})
-
-    def _log_checkpoint(self, key: str, app: str, position: int) -> None:
-        """Append one ``checkpoint`` record (no-op when disabled)."""
-        if not self._runlog.enabled:
-            return
-        self._runlog.write({
-            "kind": "checkpoint", "ts": round(time.time(), 3), "key": key,
-            "app": app, "position": position, "pid": os.getpid()})
-
-    def _log_resume(self, key: str, app: str, position: int,
-                    fallbacks: int) -> None:
-        """Append one ``resume`` record (no-op when disabled)."""
-        if not self._runlog.enabled:
-            return
-        self._runlog.write({
-            "kind": "resume", "ts": round(time.time(), 3), "key": key,
-            "app": app, "position": position, "fallbacks": fallbacks,
-            "pid": os.getpid()})
 
     # -- execution backends ----------------------------------------------------
 
@@ -1017,28 +868,7 @@ class ExperimentRunner:
         marked failed with its reason instead of blocking the rest; when
         any task failed, :class:`GridTaskError` is raised after the whole
         batch has been processed.
-
-        With ``heartbeat_timeout`` set (``REPRO_HEARTBEAT_TIMEOUT``), a
-        :class:`~repro.resilience.memory.WorkerWatchdog` supervises the
-        batch: workers whose heartbeat files go stale are killed so their
-        tasks retry — from their newest checkpoint when checkpointing is
-        on — instead of hanging the campaign.
         """
-        watchdog = None
-        if self.heartbeat_timeout > 0 and self.use_disk_cache:
-            watchdog = WorkerWatchdog(self.cache_dir,
-                                      self.heartbeat_timeout,
-                                      on_stall=self._note_stalled)
-            watchdog.start()
-        try:
-            return self._run_many_inner(pairs, label)
-        finally:
-            if watchdog is not None:
-                watchdog.stop()
-                self.watchdog_kills += watchdog.kills
-
-    def _run_many_inner(self, pairs: Iterable[tuple[str, SimConfig]],
-                        label: str | None = None) -> list[SimResult]:
         pairs = list(pairs)
         results: dict[str, SimResult] = {}
         unique: list[tuple[str, str, SimConfig]] = []
@@ -1187,8 +1017,7 @@ class ExperimentRunner:
             future = pool.submit(
                 _run_in_worker, app, config, self.scale, self.seed,
                 str(self.cache_dir), self.use_disk_cache, worker_log_dir,
-                attempt, checkpoint_events=self.checkpoint_events,
-                heartbeat_timeout=self.heartbeat_timeout,
+                attempt,
                 # the serial retry runs one task at full fan-in: lifting
                 # the per-worker ceiling here is the "reduced fan-out"
                 # that lets a memory-evicted task finish
@@ -1230,7 +1059,8 @@ class ExperimentRunner:
         hits, only pending/failed work executes). Returns the refreshed
         manifest and the full, ordered result list, or ``None`` when no
         incomplete campaign exists. A manifest recorded at a different
-        scale/seed is resumed at *its* scale/seed, not this runner's.
+        scale/seed is resumed at *its* scale/seed, not this runner's,
+        with every other setting of this runner.
         """
         manifest = GridManifest.latest_incomplete(self.manifest_dir)
         if manifest is None:
@@ -1240,10 +1070,16 @@ class ExperimentRunner:
             runner = ExperimentRunner(
                 cache_dir=self.cache_dir, scale=manifest.scale,
                 seed=manifest.seed, use_disk_cache=self.use_disk_cache,
-                jobs=self.jobs, backend=self.backend_requested,
-                task_timeout=self.task_timeout,
+                jobs=self.jobs if self._jobs_explicit else None,
+                backend=self.backend_requested,
+                # 0, not None: None would fall back to REPRO_TASK_TIMEOUT
+                task_timeout=self.task_timeout or 0,
+                log_dir=self._runlog.log_dir if self._runlog.enabled
+                else None,
                 max_attempts=self.max_attempts,
-                retry_backoff=self.retry_backoff)
+                retry_backoff=self.retry_backoff,
+                min_disk_mb=self.min_disk_mb,
+                mem_limit_mb=self.mem_limit_mb)
         manifest.reset_failed()
         pairs = [(task["app"], config_from_dict(task["config"]))
                  for task in manifest.tasks_in_order()]
@@ -1262,8 +1098,4 @@ class ExperimentRunner:
             for path in self.cache_dir.glob("traces/*.espt"):
                 path.unlink()
             for path in self.cache_dir.glob("manifests/grid-*.json"):
-                path.unlink()
-            for path in self.cache_dir.glob("checkpoints/*.ckpt"):
-                path.unlink()
-            for path in self.cache_dir.glob("heartbeats/hb-*.json"):
                 path.unlink()

@@ -33,8 +33,6 @@ the scaled-down traces' cold-start from swamping steady-state behaviour.
 
 from __future__ import annotations
 
-from dataclasses import asdict
-
 from repro.branch import PentiumMPredictor
 from repro.core import DataStallModel
 from repro.esp import EspController
@@ -63,11 +61,6 @@ from repro.sim.config import SimConfig
 from repro.sim.results import EventProfile, SimResult
 from repro.workloads.apps import AppProfile
 from repro.workloads.generator import EventTrace
-
-#: version tag of the :meth:`Simulator.checkpoint` payload; bump whenever
-#: any component's state layout changes so stale checkpoints are rejected
-#: (and quarantined by the store) instead of misrestored
-CHECKPOINT_VERSION = 1
 
 #: the hot-loop implementations :class:`Simulator` accepts as ``kernel``
 KERNEL_NAMES = ("object", "packed")
@@ -152,16 +145,9 @@ class Simulator:
         self.event_profiles: list = []
         self.collect_event_profile = False
 
-        #: checkpoint cadence in events: every ``checkpoint_every``-th event
-        #: boundary hands a :meth:`checkpoint` payload to
-        #: ``checkpoint_sink`` (0 = never)
-        self.checkpoint_every = 0
-        self.checkpoint_sink = None
         #: called with the just-finished schedule position at every event
-        #: boundary (heartbeats, fault injection, memory-pressure checks)
+        #: boundary (the pool worker's memory-pressure check)
         self.event_hook = None
-        self._pending_restore: dict | None = None
-        self._loop_state: tuple | None = None
 
     # -- measurement control ---------------------------------------------------
 
@@ -226,27 +212,9 @@ class Simulator:
         cycle = 0.0
         cycle_offset = 0.0
         cur_block = -1
-        start = 0
-        resume = self._pending_restore
-        if resume is not None:
-            self._pending_restore = None
-            if resume["n_events"] != n_events:
-                raise ValueError(
-                    f"checkpoint covers {resume['n_events']} events, "
-                    f"this run has {n_events}")
-            start = resume["position"]
-            # the checkpointed warmup boundary overrides the computed one,
-            # so a resume past warm-up never re-fires the measurement reset
-            warmup_events = resume["warmup_events"]
-            cycle = resume["cycle"]
-            cycle_offset = resume["cycle_offset"]
-            cur_block = resume["cur_block"]
-
-        checkpoint_every = self.checkpoint_every
-        checkpoint_sink = self.checkpoint_sink
         event_hook = self.event_hook
 
-        for position in range(start, n_events):
+        for position in range(n_events):
             k = order[position]
             if position == warmup_events:
                 self._reset_measurement()
@@ -290,13 +258,6 @@ class Simulator:
                 self.normal_d_working_sets.append(len(wset_d))
             if esp is not None:
                 esp.finish_event()
-            if checkpoint_every and checkpoint_sink is not None \
-                    and (position + 1) % checkpoint_every == 0 \
-                    and position + 1 < n_events:
-                self._loop_state = (position + 1, warmup_events, cycle,
-                                    cycle_offset, cur_block, n_events)
-                checkpoint_sink(self.checkpoint())
-                self._loop_state = None
             if event_hook is not None:
                 event_hook(position)
 
@@ -766,121 +727,6 @@ class Simulator:
                     cycle += bubble_penalty
                     result.stall_branch += bubble_penalty
         return cycle, cur_block
-
-    # -- checkpointing -----------------------------------------------------------
-
-    def checkpoint(self) -> dict:
-        """JSON-safe snapshot of the full mid-run state at an event boundary.
-
-        Only valid while the run loop holds the boundary's loop state —
-        i.e. from inside ``checkpoint_sink``. The payload is fully detached
-        from the live simulator (every component builds fresh lists), so
-        the caller may serialize it after the run has moved on.
-        """
-        if self._loop_state is None:
-            raise RuntimeError(
-                "checkpoint() is only valid at an event boundary, via "
-                "checkpoint_sink")
-        (position, warmup_events, cycle, cycle_offset, cur_block,
-         n_events) = self._loop_state
-        return {
-            "version": CHECKPOINT_VERSION,
-            "app": self.trace.profile.name,
-            "config": self.config.cache_key(),
-            "n_events": len(self.trace),
-            "loop": {
-                "position": position,
-                "warmup_events": warmup_events,
-                "cycle": cycle,
-                "cycle_offset": cycle_offset,
-                "cur_block": cur_block,
-                "n_events": n_events,
-            },
-            "result": self.result.to_dict(),
-            "hierarchy": self.hierarchy.state_dict(),
-            "predictor": self.predictor.state_dict(),
-            "stall_model": self.stall_model.state_dict(),
-            "prefetch": {
-                name: pf.state_dict() if pf is not None else None
-                for name, pf in (("nl_i", self.nl_i), ("dcu", self.dcu),
-                                 ("stride", self.stride),
-                                 ("efetch", self.efetch),
-                                 ("pif", self.pif))
-            },
-            "esp": self.esp.state_dict() if self.esp is not None else None,
-            "normal_i_working_sets": list(self.normal_i_working_sets),
-            "normal_d_working_sets": list(self.normal_d_working_sets),
-            "event_profiles": [asdict(p) for p in self.event_profiles],
-        }
-
-    def restore(self, state: dict) -> None:
-        """Load a :meth:`checkpoint` payload; the next :meth:`run` resumes
-        from the checkpointed event boundary and produces a bit-identical
-        :class:`~repro.sim.results.SimResult` to the uninterrupted run.
-
-        Header validation happens before any mutation, so a mismatched
-        checkpoint raises :class:`ValueError` and leaves the simulator
-        untouched (letting the checkpoint store quarantine it and fall
-        back a generation).
-        """
-        version = state.get("version")
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version!r}")
-        if state["config"] != self.config.cache_key():
-            raise ValueError(
-                "checkpoint was taken under a different configuration")
-        if state["app"] != self.trace.profile.name:
-            raise ValueError(
-                f"checkpoint is for app {state['app']!r}, "
-                f"not {self.trace.profile.name!r}")
-        if state["n_events"] != len(self.trace):
-            raise ValueError(
-                f"checkpoint covers a {state['n_events']}-event trace, "
-                f"this one has {len(self.trace)} events")
-        if (state["esp"] is None) != (self.esp is None):
-            raise ValueError(
-                "checkpoint and simulator disagree on ESP being enabled")
-        prefetchers = (("nl_i", self.nl_i), ("dcu", self.dcu),
-                       ("stride", self.stride), ("efetch", self.efetch),
-                       ("pif", self.pif))
-        for name, pf in prefetchers:
-            if (state["prefetch"][name] is None) != (pf is None):
-                raise ValueError(
-                    f"checkpoint and simulator disagree on the {name} "
-                    "prefetcher")
-
-        fields = dict(state["result"])
-        esp_fields = fields.pop("esp")
-        energy_fields = fields.pop("energy")
-        result = self.result
-        for name, value in fields.items():
-            setattr(result, name, value)
-        # the EspStats object identity is load-bearing: the ESP/runahead
-        # controllers and the replay engine alias result.esp, so its fields
-        # are mutated in place — never replace the object (nor its
-        # pre_instructions list, which the controllers also hold)
-        esp_stats = result.esp
-        for name, value in esp_fields.items():
-            if name == "pre_instructions":
-                esp_stats.pre_instructions[:] = value
-            else:
-                setattr(esp_stats, name, value)
-        for name, value in energy_fields.items():
-            setattr(result.energy, name, value)
-
-        self.hierarchy.load_state(state["hierarchy"])
-        self.predictor.load_state(state["predictor"])
-        self.stall_model.load_state(state["stall_model"])
-        for name, pf in prefetchers:
-            if pf is not None:
-                pf.load_state(state["prefetch"][name])
-        if self.esp is not None:
-            self.esp.load_state(state["esp"])
-        self.normal_i_working_sets = list(state["normal_i_working_sets"])
-        self.normal_d_working_sets = list(state["normal_d_working_sets"])
-        self.event_profiles = [EventProfile(**p)
-                               for p in state["event_profiles"]]
-        self._pending_restore = dict(state["loop"])
 
 
 def simulate(app: str | AppProfile, config: SimConfig, scale: float = 1.0,

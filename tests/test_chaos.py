@@ -9,12 +9,17 @@ corruption events visible in metrics. The specs are deterministic
 replay identically on every machine.
 """
 
+import os
+import time
+from functools import partial
+
 import pytest
 
 from repro.obs import metrics as metrics_mod
 from repro.resilience import faults
 from repro.sim import presets
 from repro.sim.experiments import ExperimentRunner
+from repro.sim.experiments import _run_in_worker as _real_run_in_worker
 
 pytestmark = pytest.mark.chaos
 
@@ -109,50 +114,50 @@ class TestCorruptionStorms:
         assert got == clean_reference
 
 
+#: per-attempt deadline of the worker-lost tests; a scale-0.1 task
+#: finishes well inside it
+LOST_TIMEOUT_S = 2.5
+
+
+def _lost_after_start_worker(app, config, scale, seed, cache_dir,
+                             use_disk_cache, log_dir=None, attempt=1, *,
+                             mode, **kwargs):
+    """Worker stand-in that loses bing's first attempt after the
+    simulation began: the runner is built and the recorded trace loaded,
+    then the worker dies (``mode="die"``) or hangs past the task deadline
+    (``mode="hang"``). Later attempts, and every other app, run normally
+    (module-level so it pickles under fork and spawn alike)."""
+    if app == "bing" and attempt == 1:
+        runner = ExperimentRunner(cache_dir=cache_dir, scale=scale,
+                                  seed=seed, use_disk_cache=use_disk_cache,
+                                  jobs=1, log_dir=log_dir)
+        runner.trace(app)
+        if mode == "die":
+            os._exit(137)
+        time.sleep(4 * LOST_TIMEOUT_S)
+    return _real_run_in_worker(app, config, scale, seed, cache_dir,
+                               use_disk_cache, log_dir, attempt, **kwargs)
+
+
 class TestMidSimResilience:
-    def test_kill_mid_sim_storm_resumes_from_checkpoints(
-            self, tmp_path, monkeypatch, clean_reference):
-        """Workers killed *inside* the simulation loop: every retry
-        resumes from the newest checkpoint generation and the grid still
-        ends bit-identical, with the resumes visible in the run log and
-        in ``repro stats``."""
-        from repro.obs.runlog import iter_records
-        from repro.obs.stats import format_table, summarize
-
-        log_dir = tmp_path / "logs"
-        _arm(monkeypatch, "kill_mid_sim:0.5,seed:3")
-        chaos = ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0,
-                                 jobs=2, backend="process",
-                                 task_timeout=60.0,
-                                 max_attempts=6, retry_backoff=0.01,
-                                 checkpoint_events=1, log_dir=log_dir)
-        got = [r.to_dict() for r in chaos.run_many(_pairs())]
+    @pytest.mark.parametrize("mode", ["die", "hang"])
+    def test_worker_lost_after_start_reruns_bit_identical(
+            self, tmp_path, monkeypatch, clean_reference, mode):
+        """A worker lost mid-simulation — killed, or hung past
+        ``task_timeout`` — costs its task one re-run from the first
+        event through the retry ladder, and the grid still ends
+        bit-identical to a clean serial run."""
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        faults.set_fault_plan(faults.FaultPlan())
+        monkeypatch.setattr("repro.sim.experiments._run_in_worker",
+                            partial(_lost_after_start_worker, mode=mode))
+        runner = ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0,
+                                  jobs=2, backend="process",
+                                  task_timeout=LOST_TIMEOUT_S,
+                                  max_attempts=6, retry_backoff=0.01)
+        got = [r.to_dict() for r in runner.run_many(_pairs())]
         assert got == clean_reference
-        kinds = [r.get("kind") for r in iter_records(log_dir)]
-        assert kinds.count("checkpoint") >= 1
-        assert kinds.count("resume") >= 1
-        # the stats reducer surfaces the resilience activity
-        summary = summarize(iter_records(log_dir))
-        assert summary["checkpoints"] >= 1
-        assert summary["resumes"] >= 1
-        assert "resilience —" in format_table(summary)
-
-    def test_stalled_worker_killed_by_watchdog(self, tmp_path,
-                                               monkeypatch,
-                                               clean_reference):
-        """Workers that hang mid-event (injected ``stall_worker`` sleeps)
-        are detected by the heartbeat watchdog and killed; the broken-pool
-        recovery resumes their tasks from checkpoints, bit-identically."""
-        _arm(monkeypatch, "stall_worker:0.4,seed:11")
-        chaos = ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0,
-                                 jobs=2, backend="process",
-                                 task_timeout=60.0,
-                                 max_attempts=6, retry_backoff=0.01,
-                                 checkpoint_events=1,
-                                 heartbeat_timeout=1.5)
-        got = [r.to_dict() for r in chaos.run_many(_pairs())]
-        assert got == clean_reference
-        assert chaos.watchdog_kills >= 1
+        assert runner.retries >= 1
 
     def test_memory_pressure_evicts_and_recovers(self, tmp_path,
                                                  monkeypatch,
@@ -168,7 +173,7 @@ class TestMidSimResilience:
                                  jobs=2, backend="process",
                                  task_timeout=60.0,
                                  max_attempts=6, retry_backoff=0.01,
-                                 checkpoint_events=1, mem_limit_mb=1)
+                                 mem_limit_mb=1)
         got = [r.to_dict() for r in chaos.run_many(_pairs())]
         assert got == clean_reference
         assert chaos.retries >= 1

@@ -151,9 +151,11 @@ class TestStats:
     def test_stats_legacy_records_summarise(self, tmp_path, capsys):
         """Logs written before the vector kernel and the sampling plane
         were removed carry ``kernel`` / ``memo_*`` / ``fidelity`` fields,
-        and logs of the retired remote backend carry ``worker-join`` /
-        ``steal`` / ``remote-degraded`` / ``fetch`` records; they still
-        summarise, and the fields and record kinds are ignored."""
+        logs of the retired remote backend carry ``worker-join`` /
+        ``steal`` / ``remote-degraded`` / ``fetch`` records, and logs of
+        the retired mid-simulation checkpointing and worker watchdog
+        carry ``checkpoint`` / ``resume`` / ``stalled`` records; they
+        still summarise, and the fields and record kinds are ignored."""
         records = [
             {"kind": "run", "app": "bing", "cache": "simulated",
              "backend": "thread", "kernel": "vector", "memo_replayed": 7,
@@ -172,6 +174,14 @@ class TestStats:
              "remaining": 2},
             {"kind": "fetch", "digest": "d", "artifact": "trace",
              "bytes": 1024, "chunks": 2},
+            {"kind": "checkpoint", "key": "k", "app": "bing",
+             "position": 3},
+            {"kind": "resume", "key": "k", "app": "bing", "position": 3,
+             "fallbacks": 1},
+            {"kind": "stalled", "key": "k", "app": "bing",
+             "worker_pid": 42, "age_s": 3.0},
+            {"kind": "retry", "key": "k", "app": "bing",
+             "reason": "requeued"},
         ]
         (tmp_path / "runs.jsonl").write_text(
             "".join(json.dumps(r) + "\n" for r in records))
@@ -184,11 +194,18 @@ class TestStats:
         assert not any(key.startswith(("kernel", "memo", "sampled",
                                        "remote", "store"))
                        for key in summary)
+        checkpoint_keys = {"checkpoints", "resumes", "resume_fallbacks",
+                           "stalled_kills"}
+        assert not checkpoint_keys & set(summary)
+        assert not checkpoint_keys & set(summary["apps"]["bing"])
         assert main(["stats", "--log-dir", str(tmp_path)]) == 0
         table = capsys.readouterr().out
         assert "bing" in table
         assert "sampling" not in table and "kernels" not in table
         assert "remote —" not in table and "store —" not in table
+        header = table.splitlines()[0].split()
+        assert "ckpt" not in header and "res" not in header
+        assert "resilience — tasks requeued: 1" in table.splitlines()
 
     def test_stats_empty_log_dir(self, tmp_path, capsys):
         assert main(["stats", "--log-dir", str(tmp_path)]) == 0

@@ -1,10 +1,12 @@
-"""Crash-safe persistence: envelopes, quarantine, manifests, fault plans.
+"""Crash-safe persistence: envelopes, quarantine, manifests, fault plans
+and the worker memory guard.
 
 The contracts pinned here: every artifact the harness reads back from
 disk is verified, verification failures quarantine (never delete) and
 regenerate, corruption is visible in metrics and the run log, grid
-manifests survive interruption and resume exactly, and fault-injection
-decisions replay deterministically from their spec.
+manifests survive interruption and resume exactly, fault-injection
+decisions replay deterministically from their spec, and a worker over its
+RSS ceiling raises :class:`~repro.resilience.MemoryPressure`.
 """
 
 import json
@@ -15,8 +17,9 @@ import pytest
 from repro.obs import metrics as metrics_mod
 from repro.obs.runlog import iter_records
 from repro.resilience import (FaultPlan, GridInterrupt, GridManifest,
-                              IntegrityError, config_from_dict,
-                              config_to_dict, payload_digest, quarantine,
+                              IntegrityError, MemoryPressure, check_memory,
+                              config_from_dict, config_to_dict,
+                              payload_digest, quarantine, rss_bytes,
                               set_fault_plan, unwrap_result, wrap_result)
 from repro.sim import presets
 from repro.sim.experiments import ExperimentRunner
@@ -417,3 +420,52 @@ class TestRunnerResume:
         manifest, results = resumed
         assert manifest.is_complete
         assert results[0].app == "bing"
+
+    def test_cross_scale_resume_keeps_runner_settings(self, tmp_path,
+                                                      monkeypatch):
+        """A campaign recorded at another scale resumes through a runner
+        rebuilt at that scale, which keeps this runner's log directory
+        and resource guards."""
+        config = presets.baseline()
+        set_fault_plan(FaultPlan({"interrupt": 1.0}, seed=0))
+        first = ExperimentRunner(cache_dir=tmp_path, scale=0.05, seed=0,
+                                 jobs=1, backend="serial",
+                                 log_dir=tmp_path / "first-logs")
+        with pytest.raises(KeyboardInterrupt):
+            first.run_many([("bing", config)], label="small")
+        set_fault_plan(FaultPlan())
+
+        batch_runners = []
+        original_run_many = ExperimentRunner.run_many
+
+        def spy(self, pairs, label=None):
+            batch_runners.append(self)
+            return original_run_many(self, pairs, label)
+
+        monkeypatch.setattr(ExperimentRunner, "run_many", spy)
+        log_dir = tmp_path / "resume-logs"
+        runner = _runner(tmp_path, log_dir=log_dir, mem_limit_mb=777,
+                         min_disk_mb=1, backend="serial")
+        manifest, results = runner.resume_grid()
+        assert manifest.is_complete
+        assert [r.app for r in results] == ["bing"]
+        (resumed,) = batch_runners
+        assert resumed is not runner and resumed.scale == 0.05
+        assert (resumed.mem_limit_mb, resumed.min_disk_mb) == (777, 1)
+        runs = [(r["app"], r["scale"], r["cache"])
+                for r in iter_records(log_dir) if r.get("kind") == "run"]
+        assert runs == [("bing", 0.05, "simulated")]
+
+
+class TestMemoryGuard:
+    def test_zero_limit_is_a_noop(self):
+        check_memory(0)
+
+    def test_tiny_limit_raises_memory_pressure(self):
+        if rss_bytes() is None:
+            pytest.skip("no resource module on this platform")
+        with pytest.raises(MemoryPressure):
+            check_memory(1)
+
+    def test_memory_pressure_is_a_memory_error(self):
+        assert issubclass(MemoryPressure, MemoryError)
