@@ -44,9 +44,9 @@ def summarize(records) -> dict:
 
     Per-app buckets carry run/hit/retry/corruption/failure counts, the
     execution backends that served the simulated runs, the summed
-    trace-load / simulate / store
-    seconds, the mean simulation time and the simulation throughput
-    (simulated runs per second of simulate time). ``requeued`` counts
+    trace-load / simulate / store seconds, the mean simulation time and
+    the simulation throughput (simulated runs per second of simulate
+    time). ``requeued`` counts
     the retry records whose reason was ``requeued`` — healthy tasks that
     lost their executor, a subset of ``retries``; ``backend_choices``
     tallies what ``REPRO_BACKEND=auto`` resolved to.

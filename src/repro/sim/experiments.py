@@ -319,7 +319,7 @@ def _run_in_worker(app: str, config: SimConfig, scale: float, seed: int,
     cannot pin a task down across its whole attempt budget.
 
     Only here — never on the parent's inline path — is the memory guard
-    armed (the rlimit and the per-event RSS check), since it ends the
+    armed (the rlimit and the per-event RSS check), since it can end the
     process it runs in.
     """
     get_fault_plan().maybe_kill_worker(
