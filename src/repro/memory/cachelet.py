@@ -55,22 +55,39 @@ class Cachelet:
         self.touched: set[int] = set()
 
     def access(self, block: int, is_store: bool = False) -> bool:
-        """Access ``block``; fills on miss. Returns hit/miss."""
-        self.stats.accesses += 1
+        """Access ``block``; fills on miss. Returns hit/miss.
+
+        Runs once per pre-executed block change, so the bounded case does
+        :meth:`SetAssocCache.lookup` and :meth:`SetAssocCache.fill` on the
+        set directly, with the same recency, stats and victim choice.
+        """
+        stats = self.stats
+        stats.accesses += 1
         self.touched.add(block)
         if self.unbounded:
             hit = block in self._resident
             if not hit:
-                self.stats.misses += 1
+                stats.misses += 1
                 self._resident.add(block)
         else:
-            hit = self._cache.lookup(block)
-            if not hit:
-                self.stats.misses += 1
-                victim = self._cache.fill(block)
-                if victim is not None and victim in self._dirty:
-                    self._dirty.discard(victim)
-                    self.stats.dirty_evictions += 1
+            cache = self._cache
+            cache_stats = cache.stats
+            cache_set = cache._sets[block % cache.num_sets]
+            cache_stats.accesses += 1
+            hit = block in cache_set
+            if hit:
+                cache_set.move_to_end(block)
+            else:
+                cache_stats.misses += 1
+                stats.misses += 1
+                if len(cache_set) >= cache.assoc:
+                    victim, _ = cache_set.popitem(last=False)
+                    cache_stats.evictions += 1
+                    if victim in self._dirty:
+                        self._dirty.discard(victim)
+                        stats.dirty_evictions += 1
+                cache_set[block] = None
+                cache_stats.fills += 1
         if is_store:
             self._dirty.add(block)
         return hit

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.branch import MISPREDICT
 from repro.isa.instructions import (
     BLOCK_SHIFT,
     KIND_ALU,
@@ -124,9 +125,8 @@ class RunaheadController:
                 continue
             if d_only:
                 continue
-            outcome = predictor.execute_branch(
-                pcs[i], kind, takens[i], targets[i], count=False)
-            if outcome.mispredicted:
+            if predictor.execute_branch(pcs[i], kind, takens[i], targets[i],
+                                        False) == MISPREDICT:
                 # runahead would follow the wrong path from here on
                 budget -= mispredict_penalty
                 break

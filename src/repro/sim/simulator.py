@@ -33,9 +33,10 @@ the scaled-down traces' cold-start from swamping steady-state behaviour.
 
 from __future__ import annotations
 
-from repro.branch import PentiumMPredictor
+from repro.branch import BUBBLE, MISPREDICT, PentiumMPredictor
 from repro.core import DataStallModel
 from repro.esp import EspController
+from repro.esp.replay import NEVER
 from repro.isa.instructions import (
     BLOCK_SHIFT,
     KIND_ALU,
@@ -343,6 +344,9 @@ class Simulator:
             # drop the engine instead of calling into it per block/branch
             replay = None
         replay_poll = replay.poll if replay is not None else None
+        # poll() returns the event icount at which its next list entry
+        # falls due; a call before then issues nothing, so it is skipped
+        replay_due = replay.due if replay is not None else NEVER
         replay_before_branch = replay.before_branch \
             if replay is not None else None
         nl_i, dcu, stride = self.nl_i, self.dcu, self.stride
@@ -427,8 +431,9 @@ class Simulator:
                     cur_block = block
                     if wset_i is not None:
                         wset_i.add(block)
-                    if replay_poll is not None:
-                        replay_poll(instructions - icount_base, int(cycle))
+                    if instructions - icount_base >= replay_due:
+                        replay_due = replay_poll(instructions - icount_base,
+                                                 int(cycle))
                     if not perfect_i:
                         l1i_accesses += 1
                         c1i_accesses += 1
@@ -456,7 +461,10 @@ class Simulator:
                             pb = block
                             for _ in range(nl_i_degree):
                                 pb += 1
-                                issue_prefetch("i", pb, int(cycle))
+                                # prefetch() of an L1-resident block
+                                # returns False with no side effect
+                                if pb not in l1i_sets[pb % l1i_nsets]:
+                                    issue_prefetch("i", pb, int(cycle))
                         if pif is not None:
                             for pb in pif.observe(pcs[pos], block):
                                 issue_prefetch("i", pb, int(cycle))
@@ -534,15 +542,15 @@ class Simulator:
                     elif kind == KIND_RETURN:
                         for pb in efetch.on_return():
                             issue_prefetch("i", pb, int(cycle))
-                outcome = execute_branch(pcs[pos], kind, taken,
-                                         targets[pos])
-                if outcome.mispredicted:
-                    branch_mispredicts += 1
-                    cycle += mispredict_penalty
-                    stall_branch += mispredict_penalty
-                elif outcome.minor_bubble:
-                    cycle += bubble_penalty
-                    stall_branch += bubble_penalty
+                flags = execute_branch(pcs[pos], kind, taken, targets[pos])
+                if flags:
+                    if flags == MISPREDICT:
+                        branch_mispredicts += 1
+                        cycle += mispredict_penalty
+                        stall_branch += mispredict_penalty
+                    else:
+                        cycle += bubble_penalty
+                        stall_branch += bubble_penalty
 
         l1i_stats.accesses = c1i_accesses
         l1i_stats.misses = c1i_misses
@@ -717,13 +725,13 @@ class Simulator:
                     elif kind == KIND_RETURN:
                         for pb in efetch.on_return():
                             hierarchy.prefetch("i", pb, int(cycle))
-                outcome = predictor.execute_branch(
+                flags = predictor.execute_branch(
                     inst.pc, kind, inst.taken, inst.target)
-                if outcome.mispredicted:
+                if flags == MISPREDICT:
                     result.branch_mispredicts += 1
                     cycle += mispredict_penalty
                     result.stall_branch += mispredict_penalty
-                elif outcome.minor_bubble:
+                elif flags == BUBBLE:
                     cycle += bubble_penalty
                     result.stall_branch += bubble_penalty
         return cycle, cur_block

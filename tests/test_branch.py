@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.branch import PentiumMPredictor
+from repro.branch import BUBBLE, MISPREDICT, PentiumMPredictor
 from repro.isa import (
     KIND_ALU,
     KIND_BRANCH,
@@ -24,32 +24,30 @@ class TestConditionalDirection:
         for _ in range(8):
             bp.execute_branch(pc, KIND_BRANCH, True, 0x2000)
         out = bp.execute_branch(pc, KIND_BRANCH, True, 0x2000)
-        assert not out.mispredicted
+        assert out != MISPREDICT
 
     def test_learns_never_taken(self, bp):
         pc = 0x1000
         for _ in range(8):
             bp.execute_branch(pc, KIND_BRANCH, False, 0)
         out = bp.execute_branch(pc, KIND_BRANCH, False, 0)
-        assert not out.mispredicted
+        assert out != MISPREDICT
 
     def test_flip_mispredicts(self, bp):
         pc = 0x1000
         for _ in range(8):
             bp.execute_branch(pc, KIND_BRANCH, True, 0x2000)
         out = bp.execute_branch(pc, KIND_BRANCH, False, 0)
-        assert out.mispredicted
+        assert out == MISPREDICT
 
     def test_cold_target_is_minor_bubble(self, bp):
-        # direction right (predicted taken after training via another path
-        # is hard to arrange; train direction first with same-target updates)
+        # a cold conditional is predicted (weakly) taken by the local
+        # table, so a taken instance has the right direction and an
+        # unknown target
         pc = 0x1000
-        bp.update_direction(pc, True)
-        bp.update_direction(pc, True)
+        assert bp.predict_direction(pc) is True
         out = bp.execute_branch(pc, KIND_BRANCH, True, 0x2000)
-        if out.predicted_taken:  # direction correct, target unknown
-            assert not out.mispredicted
-            assert out.minor_bubble
+        assert out == BUBBLE
 
     def test_counters(self, bp):
         pc = 0x1000
@@ -80,9 +78,9 @@ class TestLoopPredictor:
             mispredicts = 0
             for i in range(trip):
                 out = bp.execute_branch(pc, KIND_BRANCH, True, 0x3000)
-                mispredicts += out.mispredicted
+                mispredicts += out == MISPREDICT
             out = bp.execute_branch(pc, KIND_BRANCH, False, 0)
-            return mispredicts + out.mispredicted
+            return mispredicts + (out == MISPREDICT)
 
         for _ in range(4):  # warm up trip count + confidence
             run_loop()
@@ -93,43 +91,43 @@ class TestTargets:
     def test_btb_learns_jump_target(self, bp):
         pc = 0x4000
         out = bp.execute_branch(pc, KIND_JUMP, True, 0x5000)
-        assert out.minor_bubble and not out.mispredicted
+        assert out == BUBBLE
         out = bp.execute_branch(pc, KIND_JUMP, True, 0x5000)
-        assert not out.minor_bubble
+        assert out != BUBBLE
 
     def test_ibtb_last_target(self, bp):
         pc = 0x4000
         out = bp.execute_branch(pc, KIND_IBRANCH, True, 0x5000)
-        assert out.mispredicted  # cold
+        assert out == MISPREDICT  # cold
         out = bp.execute_branch(pc, KIND_IBRANCH, True, 0x5000)
-        assert not out.mispredicted
+        assert out != MISPREDICT
         out = bp.execute_branch(pc, KIND_IBRANCH, True, 0x6000)
-        assert out.mispredicted  # target changed
+        assert out == MISPREDICT  # target changed
 
     def test_install_indirect_target(self, bp):
         bp.install_indirect_target(0x4000, 0x7000)
         out = bp.execute_branch(0x4000, KIND_IBRANCH, True, 0x7000)
-        assert not out.mispredicted
+        assert out != MISPREDICT
 
     def test_ras_call_return_pairing(self, bp):
         bp.execute_branch(0x1000, KIND_CALL, True, 0x8000)
         out = bp.execute_branch(0x8004, KIND_RETURN, True, 0x1004)
-        assert not out.mispredicted
+        assert out != MISPREDICT
 
     def test_ras_pairing_for_indirect_calls(self, bp):
         bp.execute_branch(0x1000, KIND_IBRANCH, True, 0x8000)
         out = bp.execute_branch(0x8004, KIND_RETURN, True, 0x1004)
-        assert not out.mispredicted
+        assert out != MISPREDICT
 
     def test_empty_ras_mispredicts(self, bp):
         out = bp.execute_branch(0x8004, KIND_RETURN, True, 0x1004)
-        assert out.mispredicted
+        assert out == MISPREDICT
 
     def test_clear_ras(self, bp):
         bp.execute_branch(0x1000, KIND_CALL, True, 0x8000)
         bp.clear_ras()
         out = bp.execute_branch(0x8004, KIND_RETURN, True, 0x1004)
-        assert out.mispredicted
+        assert out == MISPREDICT
 
     def test_ras_snapshot_restore(self, bp):
         bp.execute_branch(0x1000, KIND_CALL, True, 0x8000)
@@ -137,12 +135,14 @@ class TestTargets:
         bp.clear_ras()
         bp.restore_ras(snap)
         out = bp.execute_branch(0x8004, KIND_RETURN, True, 0x1004)
-        assert not out.mispredicted
+        assert out != MISPREDICT
 
     def test_ras_depth_bounded(self, bp):
         for i in range(40):
-            bp.push_ras(i)
+            bp.execute_branch(0x1000 + 64 * i, KIND_CALL, True, 0x8000)
         assert len(bp.snapshot_ras()) <= 16
+        # the oldest frames fall off the bottom
+        assert bp.snapshot_ras()[-1] == 0x1000 + 64 * 39 + 4
 
 
 class TestPathContext:
@@ -181,7 +181,7 @@ class TestTrainAhead:
             pir = bp.train_ahead(pc, KIND_BRANCH, True, 0x2000, pir)
         # live PIR never moved, so the live lookup sees the trained entry
         out = bp.execute_branch(pc, KIND_BRANCH, True, 0x2000)
-        assert not out.mispredicted
+        assert out != MISPREDICT
 
     def test_training_does_not_touch_live_pir(self, bp):
         before = bp.save_pir()

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.branch import PentiumMPredictor
+from repro.branch import BUBBLE, MISPREDICT, PentiumMPredictor
 from repro.isa import (
     KIND_BRANCH,
     KIND_CALL,
@@ -37,7 +37,7 @@ def test_counters_consistent(events):
     bp = PentiumMPredictor()
     outcomes = run(bp, events)
     assert bp.predictions == len(events)
-    assert bp.mispredictions == sum(o.mispredicted for o in outcomes)
+    assert bp.mispredictions == sum(o == MISPREDICT for o in outcomes)
     assert 0.0 <= bp.misprediction_rate <= 1.0
 
 
@@ -46,8 +46,8 @@ def test_counters_consistent(events):
 def test_determinism(events):
     a = run(PentiumMPredictor(), events)
     b = run(PentiumMPredictor(), events)
-    assert [o.mispredicted for o in a] == [o.mispredicted for o in b]
-    assert [o.minor_bubble for o in a] == [o.minor_bubble for o in b]
+    assert [o == MISPREDICT for o in a] == [o == MISPREDICT for o in b]
+    assert [o == BUBBLE for o in a] == [o == BUBBLE for o in b]
 
 
 @given(branch_events)
@@ -57,15 +57,15 @@ def test_clone_predicts_identically(events):
     run(bp, events)
     twin = bp.clone()
     probe = [(KIND_BRANCH, i, True, i) for i in range(20)]
-    assert [o.mispredicted for o in run(bp, probe)] == \
-        [o.mispredicted for o in run(twin, probe)]
+    assert [o == MISPREDICT for o in run(bp, probe)] == \
+        [o == MISPREDICT for o in run(twin, probe)]
 
 
 @given(branch_events)
 @settings(max_examples=40, deadline=None)
 def test_flush_and_bubble_mutually_exclusive(events):
     for outcome in run(PentiumMPredictor(), events):
-        assert not (outcome.mispredicted and outcome.minor_bubble)
+        assert outcome in (0, MISPREDICT, BUBBLE)
 
 
 @given(st.integers(min_value=1, max_value=200))
@@ -75,7 +75,7 @@ def test_steady_branch_converges(n):
     bp = PentiumMPredictor()
     outcomes = [bp.execute_branch(0x1000, KIND_BRANCH, True, 0x2000)
                 for _ in range(n + 8)]
-    assert not any(o.mispredicted for o in outcomes[8:])
+    assert not any(o == MISPREDICT for o in outcomes[8:])
 
 
 @given(st.lists(st.integers(min_value=0, max_value=15), min_size=1,
@@ -92,4 +92,4 @@ def test_ras_matches_a_real_stack(call_sites):
     while stack:
         expected = stack.pop()
         outcome = bp.execute_branch(0xA000, KIND_RETURN, True, expected)
-        assert not outcome.mispredicted
+        assert outcome != MISPREDICT

@@ -1,6 +1,11 @@
 """Unit tests for the ESP cachelets (isolation, promotion, sizing)."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.memory import Cachelet, CacheletPair
+from repro.memory.cache import SetAssocCache
+from repro.memory.cachelet import CacheletStats
 
 
 class TestCachelet:
@@ -107,3 +112,39 @@ class TestCacheletPair:
 
     def test_len(self):
         assert len(CacheletPair((512, 128))) == 2
+
+
+# -- the inlined access path against the SetAssocCache reference ---------------
+
+def _reference_access(cache, stats, dirty, block, is_store):
+    """What Cachelet.access does through SetAssocCache.lookup + fill."""
+    stats.accesses += 1
+    hit = cache.lookup(block)
+    if not hit:
+        stats.misses += 1
+        victim = cache.fill(block)
+        if victim is not None and victim in dirty:
+            dirty.discard(victim)
+            stats.dirty_evictions += 1
+    if is_store:
+        dirty.add(block)
+    return hit
+
+
+@given(st.sampled_from([64, 128, 512, 1024]),
+       st.integers(min_value=1, max_value=4),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=40),
+                          st.booleans()), max_size=300))
+@settings(max_examples=80, deadline=None)
+def test_access_matches_lookup_and_fill(size, assoc, accesses):
+    cachelet = Cachelet(size, assoc)
+    cache = SetAssocCache(size, assoc)
+    stats = CacheletStats()
+    dirty: set[int] = set()
+    for block, is_store in accesses:
+        assert cachelet.access(block, is_store) == \
+            _reference_access(cache, stats, dirty, block, is_store)
+    assert cachelet.stats == stats
+    assert cachelet._cache.stats == cache.stats
+    assert cachelet.resident_blocks() == cache.resident_blocks()
+    assert cachelet._dirty == dirty

@@ -172,7 +172,7 @@ class TestIsolation:
 
     def test_preexec_preserves_live_ras(self, harness):
         c = harness.controller
-        harness.predictor.push_ras(0xAAAA)
+        harness.predictor.restore_ras([0xAAAA])
         c.begin_event(0, 0)
         c.on_stall(100, 2000.0)
         assert harness.predictor.snapshot_ras() == [0xAAAA]

@@ -1,9 +1,12 @@
 """Unit tests for the normal-mode replay engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.branch import PentiumMPredictor
 from repro.esp import RecordedHints, ReplayEngine
+from repro.esp.replay import NEVER
 from repro.isa import KIND_BRANCH, KIND_IBRANCH
 from repro.memory import MemoryHierarchy
 from repro.sim.config import EspConfig
@@ -157,3 +160,63 @@ class TestReattach:
         engine.attach(hints_with(i_blocks=[(300, 50)]), cycle=10)
         assert stats.list_prefetches_i == 2
         assert engine._i_idx == 1
+
+
+# -- due-gated polling (the packed loop's contract with poll) ------------------
+
+_entries = st.lists(st.tuples(st.integers(min_value=0, max_value=2000),
+                              st.integers(min_value=0, max_value=3000)),
+                    max_size=40)
+
+
+@given(_entries, _entries,
+       st.lists(st.integers(min_value=-60, max_value=3500), max_size=120,
+                unique=True))
+@settings(max_examples=80, deadline=None)
+def test_polling_when_due_matches_polling_every_block(i_blocks, d_blocks,
+                                                      block_changes):
+    """Polling only once the icount ``poll`` returned is reached issues
+    the same (side, block, cycle) prefetches and the same list counters
+    as polling at every block change."""
+    runs = []
+    for gated in (False, True):
+        engine, hierarchy, _, stats = make_engine()
+        issued = []
+        prefetch = hierarchy.prefetch
+
+        def recording_prefetch(side, block, cycle, prefetch=prefetch,
+                               issued=issued):
+            issued.append((side, block, cycle))
+            return prefetch(side, block, cycle)
+
+        hierarchy.prefetch = recording_prefetch
+        engine.attach(hints_with(i_blocks=i_blocks, d_blocks=d_blocks),
+                      cycle=0)
+        due = engine.due
+        for icount in sorted(block_changes):
+            cycle = 3 * icount + 500
+            if not gated:
+                engine.poll(icount, cycle)
+            elif icount >= due:
+                due = engine.poll(icount, cycle)
+        runs.append((issued, stats.list_prefetches_i,
+                     stats.list_prefetches_d))
+    assert runs[0] == runs[1]
+
+
+@given(_entries, _entries, st.integers(min_value=-60, max_value=3500))
+@settings(max_examples=60, deadline=None)
+def test_poll_returns_the_next_due_icount(i_blocks, d_blocks, icount):
+    """Nothing issues before the icount ``poll`` returns; something
+    issues at it."""
+    engine, _, _, stats = make_engine()
+    engine.attach(hints_with(i_blocks=i_blocks, d_blocks=d_blocks), cycle=0)
+    due = engine.poll(icount, 10)
+    if due == NEVER:
+        return
+    assert due > icount
+    issued = stats.list_prefetches_i + stats.list_prefetches_d
+    assert engine.poll(due - 1, 20) == due
+    assert stats.list_prefetches_i + stats.list_prefetches_d == issued
+    engine.poll(due, 30)
+    assert stats.list_prefetches_i + stats.list_prefetches_d > issued

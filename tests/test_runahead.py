@@ -75,7 +75,7 @@ class TestRunahead:
     def test_restores_pir_and_ras(self):
         controller, hierarchy, predictor, _ = make_controller()
         predictor.pir = 0x77
-        predictor.push_ras(0xBEEF)
+        predictor.restore_ras([0xBEEF])
         stream = [Instruction(0x1000 + 4 * i, KIND_ALU) for i in range(10)]
         stream[4] = Instruction(0x1010, KIND_BRANCH, taken=True,
                                 target=0x1014)
@@ -97,7 +97,8 @@ class TestRunahead:
         warm_stream(hierarchy, stream)
         # seed the predictor so the first branch predicts taken
         for _ in range(3):
-            predictor.update_direction(pc, True)
+            predictor.train_ahead(pc, KIND_BRANCH, True, pc + 4,
+                                  predictor.pir)
         controller.on_stall(pack(stream), 0, 100, budget=5000.0)
         assert predictor.predict_direction(pc) is True
 
