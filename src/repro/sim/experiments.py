@@ -431,6 +431,10 @@ class ExperimentRunner:
                 "cpus": available_cpus(), "pid": os.getpid()})
         #: parallel tasks completed serially after a worker died/timed out
         self.retries = 0
+        #: key -> why its pool try (attempt 1) failed, for the tasks of
+        #: the current batch that a worker ran; the serial ladder resumes
+        #: them at attempt 2
+        self._pool_failures: dict[str, str] = {}
         #: False once the disk-space preflight trips: caches are still
         #: read, but nothing new is written (results, traces, manifests)
         #: — degrade, don't fill the volume
@@ -796,6 +800,7 @@ class ExperimentRunner:
         """One straggler exceeded ``task_timeout`` — measured from its
         start, never from submission — and was abandoned; the caller
         re-runs it serially."""
+        self._pool_failures[key] = f"timeout after {self.task_timeout}s"
         self.retries += 1
         self.metrics.inc("runner.task_timeouts")
         self._log_retry(key, app, "timeout")
@@ -806,6 +811,7 @@ class ExperimentRunner:
         the flood of sibling failures that follows is requeued work,
         not further deaths."""
         if fresh:
+            self._pool_failures[key] = "worker died"
             self.retries += 1
             self.metrics.inc("runner.worker_deaths")
             self._log_retry(key, app, "worker-died")
@@ -820,12 +826,13 @@ class ExperimentRunner:
         self.metrics.inc("runner.tasks_requeued")
         self._log_retry(key, app, "requeued")
 
-    def _note_error(self, key: str, app: str) -> None:
-        """A task raised inside its worker — a genuine simulation error,
-        not an executor casualty. The backend hands it back so the serial
-        ladder, which owns the attempt budget, retries it and (if it
-        keeps failing) marks it failed instead of the one exception
+    def _note_error(self, key: str, app: str, exc: Exception) -> None:
+        """A task raised ``exc`` inside its worker — a genuine simulation
+        error, not an executor casualty. The backend hands it back so the
+        serial ladder, which owns the attempt budget, retries it and (if
+        it keeps failing) marks it failed instead of the one exception
         crashing the whole batch."""
+        self._pool_failures[key] = f"{type(exc).__name__}: {exc}"
         self.metrics.inc("runner.task_errors")
         self._log_retry(key, app, "error")
 
@@ -833,6 +840,7 @@ class ExperimentRunner:
         """A worker hit its RSS ceiling and bailed at an event boundary;
         the task finishes at serial fan-out where the whole memory
         budget is its own."""
+        self._pool_failures[key] = "memory pressure"
         self.retries += 1
         self.metrics.inc("runner.memory_pressure")
         self._log_retry(key, app, "memory")
@@ -897,6 +905,7 @@ class ExperimentRunner:
                     self.trace(app)
             if manifest is not None:
                 manifest.record_attempts([key for key, _, _ in todo])
+            self._pool_failures = {}
             missing = backend.run_batch(self, todo, results, progress)
             if manifest is not None:
                 manifest.mark_many(
@@ -908,7 +917,8 @@ class ExperimentRunner:
                 if plan.active:
                     plan.maybe_interrupt(f"grid:{key}")
                 result, reason = self._complete_serially(
-                    key, app, config, manifest)
+                    key, app, config, manifest,
+                    pool_failure=self._pool_failures.get(key))
                 if result is not None:
                     results[key] = result
                     if manifest is not None:
@@ -952,16 +962,22 @@ class ExperimentRunner:
         return manifest
 
     def _complete_serially(self, key: str, app: str, config: SimConfig,
-                           manifest: GridManifest | None
+                           manifest: GridManifest | None,
+                           pool_failure: str | None = None
                            ) -> tuple[SimResult | None, str | None]:
         """Finish one task in the parent with attempt accounting and
         exponential backoff: ``(result, None)`` on success, else
         ``(None, reason)`` once :attr:`max_attempts` is exhausted —
         a hung or crashing task is marked failed, never left blocking
         the rest of the grid.
+
+        ``pool_failure`` is why a worker's try at the task failed. That
+        try was attempt 1 and counts against :attr:`max_attempts`, so the
+        ladder resumes at attempt 2 (and a fault token is never reused).
         """
-        reason = "unknown"
-        for attempt in range(1, self.max_attempts + 1):
+        first = 1 if pool_failure is None else 2
+        reason = pool_failure or "unknown"
+        for attempt in range(first, self.max_attempts + 1):
             if attempt > 1:
                 # full-jitter exponential backoff, seeded by the task key
                 # so a replayed campaign schedules identically while

@@ -121,12 +121,16 @@ LOST_TIMEOUT_S = 2.5
 
 def _lost_after_start_worker(app, config, scale, seed, cache_dir,
                              use_disk_cache, log_dir=None, attempt=1, *,
-                             mode, **kwargs):
+                             mode, attempts_log=None, **kwargs):
     """Worker stand-in that loses bing's first attempt after the
     simulation began: the runner is built and the recorded trace loaded,
     then the worker dies (``mode="die"``) or hangs past the task deadline
     (``mode="hang"``). Later attempts, and every other app, run normally
-    (module-level so it pickles under fork and spawn alike)."""
+    (module-level so it pickles under fork and spawn alike). Each call
+    appends ``"<app> <attempt>"`` to ``attempts_log`` when one is given."""
+    if attempts_log is not None:
+        with open(attempts_log, "a") as log:
+            log.write(f"{app} {attempt}\n")
     if app == "bing" and attempt == 1:
         runner = ExperimentRunner(cache_dir=cache_dir, scale=scale,
                                   seed=seed, use_disk_cache=use_disk_cache,
@@ -158,6 +162,35 @@ class TestMidSimResilience:
         got = [r.to_dict() for r in runner.run_many(_pairs())]
         assert got == clean_reference
         assert runner.retries >= 1
+
+    def test_pool_hang_is_retried_serially_at_attempt_2(
+            self, tmp_path, monkeypatch, clean_reference,
+            recording_metrics):
+        """The pool's try at a task is attempt 1. A task hung in the pool
+        times out once and its serial retry runs as attempt 2, so a fault
+        keyed to attempt 1 does not fire again on the retry."""
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        faults.set_fault_plan(faults.FaultPlan())
+        attempts_log = tmp_path / "attempts.log"
+        monkeypatch.setattr("repro.sim.experiments._run_in_worker",
+                            partial(_lost_after_start_worker, mode="hang",
+                                    attempts_log=str(attempts_log)))
+        runner = ExperimentRunner(cache_dir=tmp_path / "cache", scale=0.1,
+                                  seed=0, jobs=2, backend="process",
+                                  task_timeout=LOST_TIMEOUT_S,
+                                  max_attempts=6, retry_backoff=0.01)
+        got = [r.to_dict() for r in runner.run_many(_pairs())]
+        assert got == clean_reference
+        calls = attempts_log.read_text().split("\n")[:-1]
+        hung = sum(app == "bing" for app, _ in _pairs())
+        assert sorted(call for call in calls if call.startswith("bing")) \
+            == ["bing 1"] * hung + ["bing 2"] * hung
+        assert all(call == "pixlr 1" for call in calls
+                   if call.startswith("pixlr"))
+        # only the pool's tries timed out (concurrently: one deadline of
+        # wall time); no serial retry hung again
+        counters = recording_metrics.snapshot()["counters"]
+        assert counters.get("runner.task_timeouts", 0) == hung
 
     def test_memory_pressure_evicts_and_recovers(self, tmp_path,
                                                  monkeypatch,
