@@ -21,7 +21,7 @@ from repro.esp.lists import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.branch import PentiumMPredictor
-    from repro.isa.instructions import Instruction
+    from repro.isa.stream import PackedStream
 
 
 @dataclass
@@ -65,7 +65,7 @@ class PreExecState:
 
     event_index: int
     #: the speculative instruction stream being pre-executed
-    stream: list["Instruction"] = field(repr=False, default=None)
+    stream: "PackedStream | None" = field(repr=False, default=None)
     #: resume position within ``stream`` (the saved PC, conceptually)
     position: int = 0
     #: retired-pre-instruction count (the icount stamped into list entries)
@@ -86,10 +86,10 @@ class PreExecState:
     hints: RecordedHints | None = None
     #: replicated predictor for the SEPARATE_TABLES design point
     bp_replica: "PentiumMPredictor | None" = None
-    #: per-mode working-set tracking for the Figure 13 study:
-    #: mode index -> distinct I-blocks / D-blocks touched in that mode
-    i_touched_by_mode: dict[int, set[int]] = field(default_factory=dict)
-    d_touched_by_mode: dict[int, set[int]] = field(default_factory=dict)
+    #: mode index -> distinct I-blocks touched in that mode, for the
+    #: Figure 13 working-set study; None unless the controller collects
+    #: working sets
+    i_touched_by_mode: dict[int, set[int]] | None = None
     #: block currently being fetched (re-entry resumes cleanly)
     last_i_block: int = -1
 

@@ -2,7 +2,7 @@
 
 This is the heart of the reproduction. The controller owns the hardware
 event queue, the per-mode cachelets, the per-mode branch-predictor contexts,
-and the recorded hint lists. The simulator calls into it at three points:
+and the recorded hint lists. The simulator calls into it at two points:
 
 * :meth:`EspController.begin_event` — the looper dequeued an event; promote
   every queue slot one position (cachelet and list promotion, Section 4.2),
@@ -11,7 +11,6 @@ and the recorded hint lists. The simulator calls into it at three points:
 * :meth:`EspController.on_stall` — the normal event exposed an LLC-miss
   stall; spend those idle cycles pre-executing queued events (ESP-1 first,
   jumping to ESP-2 when ESP-1 itself misses the LLC or ends, Section 3.2).
-* :meth:`EspController.finish_event` — bookkeeping at event end.
 
 Pre-execution is trace-driven off each event's *speculative* stream: the
 stream a forked execution would observe given the shared state at pre-
@@ -37,14 +36,13 @@ from repro.isa.instructions import (
     KIND_LOAD,
     KIND_STORE,
 )
-from repro.isa.stream import PackedStream
 from repro.memory.cachelet import CacheletPair
 from repro.obs.metrics import get_registry
 from repro.sim.config import EspBpMode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.branch import PentiumMPredictor
-    from repro.isa.instructions import Instruction
+    from repro.isa.stream import PackedStream
     from repro.memory import MemoryHierarchy
     from repro.sim.config import SimConfig
     from repro.sim.results import EspStats
@@ -55,8 +53,7 @@ class EspController:
 
     def __init__(self, config: "SimConfig", hierarchy: "MemoryHierarchy",
                  predictor: "PentiumMPredictor", stats: "EspStats",
-                 spec_stream_provider:
-                 "Callable[[int], PackedStream | list[Instruction]]",
+                 spec_stream_provider: "Callable[[int], PackedStream]",
                  handler_addr_provider: Callable[[int], int],
                  n_events: int,
                  predicted_provider: "Callable[[int], list[int]] | None"
@@ -88,10 +85,12 @@ class EspController:
             self.d_cachelets = None
         self.replay = ReplayEngine(self.esp, hierarchy, predictor, stats)
         self.stats.pre_instructions = [0] * depth
-        #: per-event working-set sizes per mode, for the Figure 13 study:
-        #: lists of dicts {mode: distinct blocks}
+        #: per-event distinct I-blocks per mode, for the Figure 13 study:
+        #: dicts {mode: distinct blocks}, filled only while
+        #: ``collect_working_sets`` is on (the simulator sets it from its
+        #: own flag before running)
+        self.collect_working_sets = False
         self.i_working_sets: list[dict[int, int]] = []
-        self.d_working_sets: list[dict[int, int]] = []
         self._current_index = -1
         self._ras_dirty = False
         #: process-wide metrics registry (no-op unless enabled); stall
@@ -152,10 +151,9 @@ class EspController:
                 and not head.incorrect_prediction:
             state = head.state
             hints = state.hints
-            self.i_working_sets.append(
-                {m: len(s) for m, s in state.i_touched_by_mode.items()})
-            self.d_working_sets.append(
-                {m: len(s) for m, s in state.d_touched_by_mode.items()})
+            if state.i_touched_by_mode is not None:
+                self.i_working_sets.append(
+                    {m: len(s) for m, s in state.i_touched_by_mode.items()})
             if state.bp_replica is not None and \
                     self.esp.bp_mode is EspBpMode.SEPARATE_TABLES:
                 # the replica warmed during pre-execution supplies the
@@ -215,11 +213,6 @@ class EspController:
         live._loops = replica._loops
         live._btb = replica._btb
         live._ibtb = replica._ibtb
-
-    def finish_event(self) -> None:
-        """Called when the current event retires its last instruction."""
-        # nothing to do beyond what begin_event of the next event performs;
-        # kept as an explicit hook for symmetry and future instrumentation.
 
     # -- stall handling --------------------------------------------------------
 
@@ -291,14 +284,12 @@ class EspController:
         if slot.state is None:
             state = PreExecState(event_index=slot.event_index)
             state.pir = self.predictor.pir
+            if self.collect_working_sets:
+                state.i_touched_by_mode = {}
             slot.state = state
         state = slot.state
         if not slot.eu:
-            stream = self._spec_stream(slot.event_index)
-            if not isinstance(stream, PackedStream):
-                # providers may hand back plain Instruction lists
-                stream = PackedStream.from_instructions(stream)
-            state.stream = stream
+            state.stream = self._spec_stream(slot.event_index)
             state.hints = RecordedHints.for_mode(self.esp, mode) \
                 if not self.esp.naive else None
             if self.esp.bp_mode is EspBpMode.SEPARATE_TABLES:
@@ -357,8 +348,9 @@ class EspController:
         if not naive:
             i_access = self.i_cachelets[mode].access
             d_access = self.d_cachelets[mode].access
-        i_touched = state.i_touched_by_mode.setdefault(mode, set())
-        d_touched = state.d_touched_by_mode.setdefault(mode, set())
+        touched_by_mode = state.i_touched_by_mode
+        i_touched = touched_by_mode.setdefault(mode, set()) \
+            if touched_by_mode is not None else None
         icount = start_icount = state.icount
         last_i_block = state.last_i_block
         stats = self.stats
@@ -390,7 +382,8 @@ class EspController:
 
                 if block != last_i_block:
                     last_i_block = block
-                    i_touched.add(block)
+                    if i_touched is not None:
+                        i_touched.add(block)
                     if not naive:
                         i_accesses += 1
                         hit = i_access(block)
@@ -428,7 +421,6 @@ class EspController:
                     continue
                 if kind == KIND_LOAD or kind == KIND_STORE:
                     dblock = addrs[i] >> BLOCK_SHIFT
-                    d_touched.add(dblock)
                     if not naive:
                         d_accesses += 1
                         hit = d_access(dblock, kind == KIND_STORE)

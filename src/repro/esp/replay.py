@@ -31,8 +31,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.config import EspConfig
     from repro.sim.results import EspStats
 
-#: what :meth:`ReplayEngine.poll` returns when no list entry is left to fall
-#: due in the current event
+#: what :meth:`ReplayEngine.poll` and :meth:`ReplayEngine.before_branch`
+#: return when nothing is left to fall due in the current event
 NEVER = 1 << 62
 
 
@@ -58,6 +58,9 @@ class ReplayEngine:
         #: the icount at which the event's first poll is due, after the
         #: headstart poll in attach (see poll)
         self.due = NEVER
+        #: the recordable-branch index at which the event's first
+        #: before_branch call is due
+        self.branch_due = NEVER
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -67,7 +70,7 @@ class ReplayEngine:
         marked incorrect)."""
         self._i_idx = self._d_idx = self._b_idx = self._bt_idx = 0
         self._shadow_pir = None
-        self.due = NEVER
+        self.due = self.branch_due = NEVER
         if hints is None:
             self._i_entries = []
             self._d_entries = []
@@ -80,6 +83,7 @@ class ReplayEngine:
             else []
         self._b_entries = hints.b_dir.entries if self.config.use_b_list \
             else []
+        self.branch_due = 1 if self._b_entries else NEVER
         self.active = bool(self._i_entries or self._d_entries
                            or self._b_entries)
         if self.active:
@@ -141,7 +145,7 @@ class ReplayEngine:
 
     # -- just-in-time branch training ------------------------------------------
 
-    def before_branch(self, branch_index: int) -> None:
+    def before_branch(self, branch_index: int) -> int:
         """Called right before the ``branch_index``-th *recordable* branch
         (conditional or indirect, 1-based) of the event is predicted.
 
@@ -151,16 +155,21 @@ class ReplayEngine:
         targets install just in time — the iBTB keeps one target per site,
         so the recorded target of the branch about to execute must be the
         last one written.
+
+        Returns the next branch index at which a call has work
+        (:data:`NEVER` once every entry is trained and installed): a call
+        before then changes nothing, which lets the packed loop skip it.
         """
         entries = self._b_entries
-        if not entries:
-            return
+        n = len(entries)
+        if not n:
+            return NEVER
         if self._shadow_pir is None:
             # first branch: align the shadow path context with the live one
             self._shadow_pir = self.predictor.pir
         predictor = self.predictor
-        horizon = min(len(entries),
-                      branch_index - 1 + self.config.blist_train_lead)
+        lead = self.config.blist_train_lead
+        horizon = min(n, branch_index - 1 + lead)
         idx = self._b_idx
         while idx < horizon:
             entry = entries[idx]
@@ -172,9 +181,15 @@ class ReplayEngine:
         self._b_idx = idx
         # B-List-Target replay: entry branch_index-1 is the branch about to
         # execute; install its target if it is a taken indirect
-        tidx = min(branch_index, len(entries))
+        tidx = min(branch_index, n)
         while self._bt_idx < tidx:
             entry = entries[self._bt_idx]
             self._bt_idx += 1
             if entry.indirect and entry.taken:
                 predictor.install_indirect_target(entry.pc, entry.target)
+        # entry idx trains once branch_index - 1 + lead passes it; the
+        # next target installs at the branch after the last installed one
+        due = idx + 2 - lead if idx < n else NEVER
+        if self._bt_idx < n:
+            due = min(due, self._bt_idx + 1)
+        return due

@@ -8,11 +8,10 @@ made once per process (memoized) from:
 * the affinity-aware CPU count (:func:`repro.sim.experiments.available_cpus`)
   — one usable CPU means fan-out of any kind only adds overhead, so the
   answer is ``serial`` and no probe runs at all;
-* a ~100ms calibration probe on multi-CPU machines: an interpreter spin
-  score (loop iterations per second, a coarse single-core throughput
-  figure recorded for the runlog) and one worker-process round-trip — a
-  no-op submitted to a fresh single-worker pool. Where processes cannot
-  be spawned, or the round-trip exceeds the probe ceiling —
+* a calibration probe on multi-CPU machines: one worker-process
+  round-trip — a no-op submitted to a fresh single-worker pool. Where
+  processes cannot be spawned, or the round-trip exceeds the probe
+  ceiling —
   :data:`ROUNDTRIP_CEILING_S`, overridable via ``REPRO_PROBE_TIMEOUT``
   for loaded CI machines that fork slowly once but run tasks fine —
   (gVisor-style sandboxes — fork costs would dwarf the tasks), the pick
@@ -31,12 +30,8 @@ from dataclasses import dataclass
 
 _PROBE_TIMEOUT_ENV = "REPRO_PROBE_TIMEOUT"
 
-#: total wall-clock budget for the calibration probe (seconds)
+#: wall-clock budget for the calibration probe (seconds)
 PROBE_BUDGET_S = 0.1
-
-#: share of the budget burned on the interpreter spin score; the rest
-#: bounds the process round-trip
-SPIN_BUDGET_S = 0.02
 
 #: default round-trip ceiling: a worker-process no-op round-trip slower
 #: than this means fork/spawn overhead would dwarf typical grid tasks,
@@ -73,7 +68,6 @@ class BackendChoice:
 
     backend: str
     cpus: int
-    spin_score: float | None
     process_roundtrip_s: float | None
     reason: str
 
@@ -81,8 +75,6 @@ class BackendChoice:
         """The runlog payload for a ``backend-choice`` record."""
         return {
             "backend": self.backend, "cpus": self.cpus,
-            "spin_score": None if self.spin_score is None
-            else round(self.spin_score, 1),
             "process_roundtrip_s": None if self.process_roundtrip_s is None
             else round(self.process_roundtrip_s, 4),
             "reason": self.reason,
@@ -92,19 +84,6 @@ class BackendChoice:
 def _probe_noop() -> None:
     """Worker-side probe payload (module-level so it pickles)."""
     return None
-
-
-def _spin_score(budget_s: float = SPIN_BUDGET_S) -> float:
-    """Interpreter loop iterations per second over a ``budget_s`` spin —
-    a coarse single-core throughput figure, recorded for observability."""
-    deadline = time.perf_counter() + budget_s
-    count = 0
-    while time.perf_counter() < deadline:
-        count += 1000
-        for _ in range(1000):
-            pass
-    elapsed = budget_s + max(0.0, time.perf_counter() - deadline)
-    return count / elapsed
 
 
 def _process_roundtrip(pool_cls, budget_s: float = PROBE_BUDGET_S,
@@ -153,25 +132,24 @@ def auto_pick(pool_cls=None, cpus: int | None = None) -> BackendChoice:
         # never processes on a single-CPU machine — and no probe either:
         # there is nothing a measurement could change
         choice = BackendChoice(
-            "serial", cpus, None, None,
+            "serial", cpus, None,
             "single usable CPU: any fan-out only adds overhead")
     else:
-        spin = _spin_score()
         roundtrip = _process_roundtrip(pool_cls, ceiling_s=ceiling)
         if roundtrip is None:
             choice = BackendChoice(
-                "serial", cpus, spin, None,
+                "serial", cpus, None,
                 "worker processes unavailable: in-process is the only "
                 "execution that works here")
         elif roundtrip > ceiling:
             choice = BackendChoice(
-                "serial", cpus, spin, roundtrip,
+                "serial", cpus, roundtrip,
                 f"worker round-trip {roundtrip:.2f}s exceeds "
                 f"{ceiling:.1f}s: process start-up would "
                 "dwarf the tasks")
         else:
             choice = BackendChoice(
-                "process", cpus, spin, roundtrip,
+                "process", cpus, roundtrip,
                 f"{cpus} usable CPUs and a {roundtrip * 1000:.0f}ms "
                 "worker round-trip: real parallelism pays")
     _choice_cache[(cpus, ceiling)] = choice

@@ -34,20 +34,17 @@ event is a decompression plus a few C-level conversions
 which unpacks the object form only when something asks for it. The
 per-stream byte lengths let :func:`load_trace` index every event in one
 O(events) skip-scan; a loaded trace holds the compressed bytes (~2 B per
-instruction) and decodes events on demand into a small LRU window, the
-same memory discipline as :class:`~repro.workloads.EventTrace`.
+instruction) and decodes events on demand into the small LRU window that
+:class:`~repro.workloads.generator.TraceBase` gives every trace.
 
 The footer makes corruption *detectable* instead of latent: a bit-flip
 or truncation anywhere in the file raises :class:`TraceIntegrityError`
 on load (the harness quarantines the file and regenerates) rather than
 decoding to wrong instruction streams.
 
-Older files still load. Version 3 has the same header, index and footer
-but encodes each stream per instruction: one kind/flag byte, a zig-zag
-varint PC delta and, where the kind needs one, an address or target
-varint (:func:`_write_stream` / :func:`_read_stream`). Version 2 is
-version 3 without the footer, readable but unverified. Version 1 files
-(no seed, no byte-length index) are not readable.
+Only version 4 loads; a file of any other version raises ``ValueError``
+(the harness names its cache files ``-v4.espt``, so it regenerates an
+older recording rather than opening it).
 """
 
 from __future__ import annotations
@@ -57,14 +54,12 @@ import os
 import sys
 import zlib
 from array import array
-from collections import OrderedDict
 from itertools import accumulate, chain, repeat
 from operator import or_, rshift, sub, truth
 from pathlib import Path
 from typing import BinaryIO
 
-from repro.isa.instructions import BLOCK_SHIFT, Instruction, \
-    is_branch_kind, is_memory_kind
+from repro.isa.instructions import BLOCK_SHIFT
 from repro.isa.stream import PackedStream
 from repro.workloads.generator import Event, TraceBase
 
@@ -173,51 +168,6 @@ def _decode_columns(block, count: int) -> PackedStream:
         tuple(map(rshift, pcs, repeat(BLOCK_SHIFT))))
 
 
-# -- versions 2 and 3: per-instruction varints ----------------------------------
-
-def _write_stream(out: BinaryIO, stream: list[Instruction]) -> None:
-    last_pc = 0
-    for inst in stream:
-        flags = inst.kind | (_TAKEN_FLAG if inst.taken else 0)
-        out.write(bytes((flags,)))
-        _write_varint(out, _zigzag(inst.pc - last_pc))
-        last_pc = inst.pc
-        if is_memory_kind(inst.kind):
-            _write_varint(out, inst.addr)
-        elif is_branch_kind(inst.kind):
-            # not-taken conditionals still carry their (fall-through)
-            # target in generated streams; preserve it exactly
-            _write_varint(out, inst.target)
-
-
-def _read_stream(data: BinaryIO, count: int) -> list[Instruction]:
-    stream: list[Instruction] = []
-    last_pc = 0
-    for _ in range(count):
-        raw = data.read(1)
-        if not raw:
-            raise EOFError("truncated stream")
-        flags = raw[0]
-        kind = flags & 0x0F
-        taken = bool(flags & _TAKEN_FLAG)
-        pc = last_pc + _unzigzag(_read_varint(data))
-        last_pc = pc
-        addr = 0
-        target = 0
-        if is_memory_kind(kind):
-            addr = _read_varint(data)
-        elif is_branch_kind(kind):
-            target = _read_varint(data)
-        stream.append(Instruction(pc, kind, addr=addr, taken=taken,
-                                  target=target))
-    return stream
-
-
-def _decode_varints(block, count: int) -> PackedStream:
-    return PackedStream.from_instructions(
-        _read_stream(io.BytesIO(block), count))
-
-
 # -- writing ------------------------------------------------------------------
 
 def encode_trace(trace) -> bytes:
@@ -296,7 +246,8 @@ class LoadedTrace(TraceBase):
     (``event(k)``, ``looper_stream(k)``, ``packed_looper_stream(k)``,
     ``handler_fid(k)``, ``__len__``).
 
-    Events decode lazily from the file bytes into a small LRU window of
+    Events decode lazily from the file bytes into the
+    :class:`~repro.workloads.generator.TraceBase` LRU window of
     :class:`~repro.workloads.generator.Event` objects, the same class a
     generated trace hands out. The looper streams and the code image
     regenerate deterministically from the profile and the recorded seed;
@@ -304,11 +255,13 @@ class LoadedTrace(TraceBase):
     (the harness records a trace it just generated).
     """
 
-    _CACHE_CAPACITY = 8
+    # bound here too, so a per-class wrapper (the ``isa.decode`` span of
+    # bench/tracer.py) tells a decode from a walk
+    event = TraceBase.event
 
     def __init__(self, app_name: str, seed: int, data: bytes,
-                 index: list[_EventIndex], profile=None, image=None,
-                 version: int = VERSION) -> None:
+                 index: list[_EventIndex], profile=None,
+                 image=None) -> None:
         super().__init__()
         self.app_name = app_name
         self.seed = seed
@@ -324,31 +277,18 @@ class LoadedTrace(TraceBase):
 
             image = build_code_image(profile.code, seed=profile.seed ^ seed)
         self.image = image
-        self._decode = _decode_columns if version >= 4 else _decode_varints
-        self._cache: OrderedDict[int, Event] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._index)
 
-    def event(self, index: int) -> Event:
-        cached = self._cache.get(index)
-        if cached is not None:
-            self._cache.move_to_end(index)
-            return cached
-        event = self._materialize(index)
-        self._cache[index] = event
-        if len(self._cache) > self._CACHE_CAPACITY:
-            self._cache.popitem(last=False)
-        return event
-
     def _materialize(self, index: int) -> Event:
         rec = self._index[index]
         data = self._data
-        true_packed = self._decode(
+        true_packed = _decode_columns(
             data[rec.true_offset:rec.true_offset + rec.true_length],
             rec.true_count)
         if rec.spec_count:
-            spec_packed = self._decode(
+            spec_packed = _decode_columns(
                 data[rec.spec_offset:rec.spec_offset + rec.spec_length],
                 rec.spec_count)
         else:
@@ -369,31 +309,28 @@ def parse_trace(payload: bytes, profile=None, image=None) -> LoadedTrace:
     one of the built-in registry entries; ``image`` supplies the code
     image when the caller already has it.
 
-    Version-3 and -4 payloads verify their CRC32 footer before any
-    decoding — truncation or bit-flips raise :class:`TraceIntegrityError`.
-    Version-2 payloads (pre-footer) still load, unverified.
+    The CRC32 footer is verified before any decoding — truncation or
+    bit-flips raise :class:`TraceIntegrityError`. A version other than
+    :data:`VERSION` raises ``ValueError``.
     """
     data = io.BytesIO(payload)
     if data.read(4) != MAGIC:
         raise ValueError("not an ESP trace file")
     version = _read_varint(data)
-    if version in (3, VERSION):
-        if len(payload) < data.tell() + _FOOTER_LEN:
-            raise TraceIntegrityError("trace footer missing (truncated?)")
-        if payload[-_FOOTER_LEN:-4] != FOOTER_MAGIC:
-            raise TraceIntegrityError(
-                "trace footer magic missing (truncated or overwritten)")
-        stored = int.from_bytes(payload[-4:], "little")
-        actual = zlib.crc32(memoryview(payload)[:-_FOOTER_LEN])
-        if stored != actual:
-            raise TraceIntegrityError(
-                f"trace checksum mismatch: stored {stored:#010x}, "
-                f"computed {actual:#010x}")
-        body_end = len(payload) - _FOOTER_LEN
-    elif version == 2:  # pre-footer format: readable, unverified
-        body_end = len(payload)
-    else:
+    if version != VERSION:
         raise ValueError(f"unsupported trace version {version}")
+    if len(payload) < data.tell() + _FOOTER_LEN:
+        raise TraceIntegrityError("trace footer missing (truncated?)")
+    if payload[-_FOOTER_LEN:-4] != FOOTER_MAGIC:
+        raise TraceIntegrityError(
+            "trace footer magic missing (truncated or overwritten)")
+    stored = int.from_bytes(payload[-4:], "little")
+    actual = zlib.crc32(memoryview(payload)[:-_FOOTER_LEN])
+    if stored != actual:
+        raise TraceIntegrityError(
+            f"trace checksum mismatch: stored {stored:#010x}, "
+            f"computed {actual:#010x}")
+    body_end = len(payload) - _FOOTER_LEN
     name = data.read(_read_varint(data)).decode()
     seed = _read_varint(data)
     n_events = _read_varint(data)
@@ -420,7 +357,7 @@ def parse_trace(payload: bytes, profile=None, image=None) -> LoadedTrace:
                                  spec_length))
         data.seek(end)
     return LoadedTrace(name, seed, payload, index, profile=profile,
-                       image=image, version=version)
+                       image=image)
 
 
 def load_trace(path: Path | str, profile=None, image=None) -> LoadedTrace:

@@ -51,8 +51,6 @@ class Cachelet:
         self._cache = None if unbounded else SetAssocCache(
             size_bytes, assoc, name=name)
         self._resident: set[int] = set()  # used when unbounded
-        #: distinct blocks ever touched, for the Figure 13 working-set study
-        self.touched: set[int] = set()
 
     def access(self, block: int, is_store: bool = False) -> bool:
         """Access ``block``; fills on miss. Returns hit/miss.
@@ -63,7 +61,6 @@ class Cachelet:
         """
         stats = self.stats
         stats.accesses += 1
-        self.touched.add(block)
         if self.unbounded:
             hit = block in self._resident
             if not hit:

@@ -20,9 +20,8 @@ Record kinds (``kind`` field):
   attempt that will be re-tried — or ``requeued``, a healthy task that
   lost its executor to a sibling's pool break or a wedged queue).
 * ``backend-choice`` — ``REPRO_BACKEND=auto`` resolved to a concrete
-  backend: the pick, the usable CPU count, the calibration-probe
-  measurements (interpreter spin score, worker-process round-trip
-  seconds) and the human-readable reason.
+  backend: the pick, the usable CPU count, the calibration probe's
+  worker-process round-trip seconds and the human-readable reason.
 * ``corrupt`` — an on-disk artifact (``trace`` / ``result`` / ``manifest``)
   failed its integrity check and was quarantined: artifact kind, original
   filename, quarantine filename (None when the move failed), and the cache

@@ -136,10 +136,10 @@ class Simulator:
             self.runahead = RunaheadController(
                 config, self.hierarchy, self.predictor, self.result.esp)
 
-        #: per-event distinct I/D blocks touched in normal mode (Figure 13's
-        #: "Normal" bars); populated when ``collect_working_sets`` is on.
+        #: per-event distinct I-blocks touched in normal mode (Figure 13's
+        #: "Normal" bars), and per ESP mode in ``esp.i_working_sets``;
+        #: populated when ``collect_working_sets`` is on.
         self.normal_i_working_sets: list[int] = []
-        self.normal_d_working_sets: list[int] = []
         self.collect_working_sets = False
         #: per-event cycle/stall timeline; populated (measured events only)
         #: when ``collect_event_profile`` is on.
@@ -197,6 +197,8 @@ class Simulator:
         predictor = self.predictor
         esp = self.esp
         replay = esp.replay if esp is not None else None
+        if esp is not None:
+            esp.collect_working_sets = self.collect_working_sets
 
         if self.schedule is not None:
             order = list(self.schedule.order)
@@ -233,16 +235,14 @@ class Simulator:
                 result.esp.diverged_events += 1
             wset_i: set[int] | None = set() \
                 if self.collect_working_sets else None
-            wset_d: set[int] | None = set() \
-                if self.collect_working_sets else None
 
             if fast_path:
                 cycle, cur_block = self._run_streams_packed(
                     (trace.packed_looper_stream(k), event.packed_true()),
-                    cycle, cur_block, wset_i, wset_d)
+                    cycle, cur_block, wset_i)
             else:
                 cycle, cur_block = self._run_streams_object(
-                    k, event, cycle, cur_block, wset_i, wset_d)
+                    k, event, cycle, cur_block, wset_i)
 
             result.events += 1
             if self.collect_event_profile and position >= warmup_events:
@@ -256,9 +256,6 @@ class Simulator:
                     hinted=replay.active if replay is not None else False))
             if wset_i is not None:
                 self.normal_i_working_sets.append(len(wset_i))
-                self.normal_d_working_sets.append(len(wset_d))
-            if esp is not None:
-                esp.finish_event()
             if event_hook is not None:
                 event_hook(position)
 
@@ -319,8 +316,7 @@ class Simulator:
     # -- packed fast path --------------------------------------------------------
 
     def _run_streams_packed(self, streams, cycle: float, cur_block: int,
-                            wset_i: set | None, wset_d: set | None
-                            ) -> tuple[float, int]:
+                            wset_i: set | None) -> tuple[float, int]:
         """Execute one event's (looper, true) streams in packed form.
 
         Mirrors the object loop in :meth:`run` operation for operation —
@@ -344,11 +340,14 @@ class Simulator:
             # drop the engine instead of calling into it per block/branch
             replay = None
         replay_poll = replay.poll if replay is not None else None
-        # poll() returns the event icount at which its next list entry
-        # falls due; a call before then issues nothing, so it is skipped
-        replay_due = replay.due if replay is not None else NEVER
         replay_before_branch = replay.before_branch \
             if replay is not None else None
+        # poll() returns the event icount at which its next list entry
+        # falls due, before_branch() the recordable-branch index at which
+        # it next trains or installs; a call before then does nothing, so
+        # it is skipped
+        replay_due = replay.due if replay is not None else NEVER
+        branch_due = replay.branch_due if replay is not None else NEVER
         nl_i, dcu, stride = self.nl_i, self.dcu, self.stride
         efetch, pif = self.efetch, self.pif
 
@@ -478,8 +477,6 @@ class Simulator:
                 # ---- data access ----
                 if kind == KIND_LOAD or kind == KIND_STORE:
                     dblock = addrs[pos] >> BLOCK_SHIFT
-                    if wset_d is not None:
-                        wset_d.add(dblock)
                     l1d_accesses += 1
                     if not perfect_d:
                         c1d_accesses += 1
@@ -531,8 +528,8 @@ class Simulator:
                     continue
                 if kind == KIND_BRANCH or kind == KIND_IBRANCH:
                     event_branches += 1
-                    if replay_before_branch is not None:
-                        replay_before_branch(event_branches)
+                    if event_branches >= branch_due:
+                        branch_due = replay_before_branch(event_branches)
                 taken = takens[pos]
                 if efetch is not None:
                     if kind == KIND_CALL or (kind == KIND_IBRANCH
@@ -579,8 +576,8 @@ class Simulator:
     # -- object-stream compatibility path ----------------------------------------
 
     def _run_streams_object(self, k: int, event, cycle: float,
-                            cur_block: int, wset_i: set | None,
-                            wset_d: set | None) -> tuple[float, int]:
+                            cur_block: int, wset_i: set | None
+                            ) -> tuple[float, int]:
         """Execute one event's (looper, true) streams as ``Instruction``
         objects — the compatibility reference the packed path is tested
         against. Returns the updated ``(cycle, cur_block)``.
@@ -673,8 +670,6 @@ class Simulator:
                 # ---- data access ----
                 if kind == KIND_LOAD or kind == KIND_STORE:
                     dblock = inst.addr >> BLOCK_SHIFT
-                    if wset_d is not None:
-                        wset_d.add(dblock)
                     result.l1d_accesses += 1
                     if not perfect_d:
                         res = hierarchy.access_d(dblock, int(cycle))
@@ -715,6 +710,8 @@ class Simulator:
                     continue
                 if kind == KIND_BRANCH or kind == KIND_IBRANCH:
                     event_branches += 1
+                    # ungated, like poll above: the packed loop's due
+                    # gating is checked against these calls
                     if replay is not None:
                         replay.before_branch(event_branches)
                 if efetch is not None:

@@ -423,16 +423,36 @@ class TraceBase:
     streams, which every trace derives the same way from those three.
 
     Subclasses set ``profile`` and ``image``, call this ``__init__`` and
-    implement ``__len__``, ``handler_fid`` and ``event``.
+    implement ``__len__``, ``handler_fid`` and ``_materialize``, which
+    builds event ``k``; :meth:`event` checks the index and keeps the
+    last ``_cache_capacity`` events in an LRU window, since the simulator
+    only ever needs the current event and the next ``depth``
+    pre-executable ones.
     """
 
     profile: "AppProfile"
     image: CodeImage
+    _cache_capacity = 8
 
     def __init__(self) -> None:
         self._looper_body: PackedStream | None = None
         #: per-handler packed looper streams (body + dispatch)
         self._packed_loopers: dict[int, PackedStream] = {}
+        self._cache: OrderedDict[int, Event] = OrderedDict()
+
+    def event(self, index: int) -> Event:
+        """Event ``index`` from the window, materialised on a miss."""
+        if not 0 <= index < len(self):
+            raise IndexError(index)
+        cached = self._cache.get(index)
+        if cached is not None:
+            self._cache.move_to_end(index)
+            return cached
+        event = self._materialize(index)
+        self._cache[index] = event
+        if len(self._cache) > self._cache_capacity:
+            self._cache.popitem(last=False)
+        return event
 
     def looper_stream(self, index: int) -> list[Instruction]:
         """:meth:`packed_looper_stream` unpacked to ``Instruction``
@@ -479,12 +499,12 @@ class TraceBase:
 
 
 class EventTrace(TraceBase):
-    """Deterministic sequence of events for one application profile.
+    """Deterministic sequence of events for one application profile,
+    walked lazily through the :class:`TraceBase` event window."""
 
-    Events are materialised lazily and cached in a small LRU window, since
-    the simulator only ever needs the current event and the next
-    ``depth`` pre-executable events.
-    """
+    # bound here too, so a per-class wrapper (the ``workloads.event`` span
+    # of bench/tracer.py) tells a walk from a recorded trace's decode
+    event = TraceBase.event
 
     def __init__(self, profile: "AppProfile", scale: float = 1.0,
                  seed: int = 0) -> None:
@@ -538,8 +558,6 @@ class EventTrace(TraceBase):
                 state[var] = ((k + 1) * 2654435761 + var) & 0xFFFFFFFF
             self._event_seed.append(rng.getrandbits(48))
 
-        self._cache: OrderedDict[int, Event] = OrderedDict()
-        self._cache_capacity = 8
         #: per function id, the walker's block-body columns
         self._bodies: dict[int, list[tuple]] = {}
 
@@ -558,19 +576,6 @@ class EventTrace(TraceBase):
         state as of two events earlier (the writes of the one or two skipped
         in-flight events are missing)."""
         return self._state_before[max(0, index - 2)]
-
-    def event(self, index: int) -> Event:
-        if not 0 <= index < self.n_events:
-            raise IndexError(index)
-        cached = self._cache.get(index)
-        if cached is not None:
-            self._cache.move_to_end(index)
-            return cached
-        event = self._materialize(index)
-        self._cache[index] = event
-        if len(self._cache) > self._cache_capacity:
-            self._cache.popitem(last=False)
-        return event
 
     def _materialize(self, index: int) -> Event:
         handler = self._handler_of[index]

@@ -247,19 +247,14 @@ class TestAutoPick:
     def test_single_cpu_is_serial_and_never_probes(self, monkeypatch,
                                                    fresh_auto_cache):
         monkeypatch.setattr(
-            auto_mod, "_spin_score",
-            lambda *a, **k: pytest.fail("probe ran on a single-CPU pick"))
-        monkeypatch.setattr(
             auto_mod, "_process_roundtrip",
             lambda *a, **k: pytest.fail("probe ran on a single-CPU pick"))
         choice = auto_pick(cpus=1)
         assert choice.backend == "serial"
-        assert choice.spin_score is None
         assert choice.process_roundtrip_s is None
 
     def test_multi_cpu_with_fast_workers_is_process(self, monkeypatch,
                                                     fresh_auto_cache):
-        monkeypatch.setattr(auto_mod, "_spin_score", lambda *a, **k: 1e6)
         monkeypatch.setattr(auto_mod, "_process_roundtrip",
                             lambda *a, **k: 0.01)
         choice = auto_pick(cpus=8)
@@ -269,14 +264,12 @@ class TestAutoPick:
 
     def test_unspawnable_workers_degrade_to_serial(self, monkeypatch,
                                                    fresh_auto_cache):
-        monkeypatch.setattr(auto_mod, "_spin_score", lambda *a, **k: 1e6)
         monkeypatch.setattr(auto_mod, "_process_roundtrip",
                             lambda *a, **k: None)
         assert auto_pick(cpus=4).backend == "serial"
 
     def test_slow_worker_roundtrip_degrades_to_serial(self, monkeypatch,
                                                       fresh_auto_cache):
-        monkeypatch.setattr(auto_mod, "_spin_score", lambda *a, **k: 1e6)
         monkeypatch.setattr(
             auto_mod, "_process_roundtrip",
             lambda *a, **k: auto_mod.ROUNDTRIP_CEILING_S * 5)
@@ -286,7 +279,6 @@ class TestAutoPick:
 
     def test_choice_is_memoized_per_cpu_count(self, monkeypatch,
                                               fresh_auto_cache):
-        monkeypatch.setattr(auto_mod, "_spin_score", lambda *a, **k: 1e6)
         monkeypatch.setattr(auto_mod, "_process_roundtrip",
                             lambda *a, **k: 0.01)
         first = auto_pick(cpus=4)
@@ -319,8 +311,8 @@ class TestAutoPick:
 
     def test_to_record_is_json_shaped(self, fresh_auto_cache):
         record = auto_pick(cpus=1).to_record()
-        assert set(record) == {"backend", "cpus", "spin_score",
-                               "process_roundtrip_s", "reason"}
+        assert set(record) == {"backend", "cpus", "process_roundtrip_s",
+                               "reason"}
 
 
 class TestBackendConfiguration:
@@ -456,7 +448,6 @@ class TestProbeTimeout:
         """A loaded CI machine that forks slowly must not misclassify as
         "slow workers => serial" when ``REPRO_PROBE_TIMEOUT`` says the
         round-trip is acceptable."""
-        monkeypatch.setattr(auto_mod, "_spin_score", lambda *a, **k: 1e6)
         monkeypatch.setattr(auto_mod, "_process_roundtrip",
                             lambda *a, **k: 2.0)
         monkeypatch.delenv("REPRO_PROBE_TIMEOUT", raising=False)

@@ -43,12 +43,6 @@ class TestCachelet:
         assert len(cachelet.resident_blocks()) == 100
         assert cachelet.access(0) is True  # nothing ever evicted
 
-    def test_touched_tracks_all_blocks(self):
-        cachelet = Cachelet(128, 2)
-        for block in range(10):
-            cachelet.access(block)
-        assert len(cachelet.touched) == 10  # beyond capacity
-
     def test_clear_keeps_counters(self):
         cachelet = Cachelet(512, 12)
         cachelet.access(1, is_store=True)

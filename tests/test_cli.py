@@ -154,8 +154,10 @@ class TestStats:
         logs of the retired remote backend carry ``worker-join`` /
         ``steal`` / ``remote-degraded`` / ``fetch`` records, and logs of
         the retired mid-simulation checkpointing and worker watchdog
-        carry ``checkpoint`` / ``resume`` / ``stalled`` records; they
-        still summarise, and the fields and record kinds are ignored."""
+        carry ``checkpoint`` / ``resume`` / ``stalled`` records, and
+        ``backend-choice`` records from before the auto picker dropped
+        its interpreter spin score carry ``spin_score``; they still
+        summarise, and the fields and record kinds are ignored."""
         records = [
             {"kind": "run", "app": "bing", "cache": "simulated",
              "backend": "thread", "kernel": "vector", "memo_replayed": 7,
@@ -182,6 +184,9 @@ class TestStats:
              "worker_pid": 42, "age_s": 3.0},
             {"kind": "retry", "key": "k", "app": "bing",
              "reason": "requeued"},
+            {"kind": "backend-choice", "backend": "process", "cpus": 2,
+             "spin_score": 41234567.8, "process_roundtrip_s": 0.0312,
+             "reason": "2 usable CPUs and a 31ms worker round-trip"},
         ]
         (tmp_path / "runs.jsonl").write_text(
             "".join(json.dumps(r) + "\n" for r in records))
@@ -191,6 +196,7 @@ class TestStats:
         assert summary["simulated"] == 1
         assert summary["cache_hits"] == 1
         assert summary["apps"]["bing"]["simulate_s"] == 2.0
+        assert summary["backend_choices"] == {"process": 1}
         assert not any(key.startswith(("kernel", "memo", "sampled",
                                        "remote", "store"))
                        for key in summary)

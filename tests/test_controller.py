@@ -11,6 +11,7 @@ from repro.isa import (
     KIND_STORE,
     Instruction,
 )
+from repro.isa.stream import PackedStream
 from repro.memory import MemoryHierarchy
 from repro.sim.config import EspBpMode, EspConfig, SimConfig
 from repro.sim.results import EspStats
@@ -40,7 +41,8 @@ class Harness:
         self.stats = EspStats()
         self.controller = EspController(
             self.config, self.hierarchy, self.predictor, self.stats,
-            spec_stream_provider=lambda k: self.streams[k],
+            spec_stream_provider=lambda k: PackedStream.from_instructions(
+                self.streams[k]),
             handler_addr_provider=lambda k: 0x40_0000 + k * 0x100,
             n_events=len(self.streams))
 
@@ -138,6 +140,7 @@ class TestPreExecution:
 
     def test_working_sets_tracked(self, harness):
         c = harness.controller
+        c.collect_working_sets = True
         c.begin_event(0, 0)
         c.on_stall(100, 2000.0)
         state = c.queue.slot(0).state

@@ -6,12 +6,16 @@ import pytest
 from repro.branch import PentiumMPredictor
 from repro.esp import EspController
 from repro.isa import KIND_ALU, KIND_BRANCH, KIND_LOAD, Instruction
+from repro.isa.stream import PackedStream
 from repro.memory import MemoryHierarchy
 from repro.sim import presets
 from repro.sim.config import EspBpMode, EspConfig, SimConfig
 from repro.sim.results import EspStats
 from repro.sim.simulator import Simulator
 from repro.workloads import EventTrace
+
+
+pack = PackedStream.from_instructions
 
 
 def make_harness(streams, config=None):
@@ -21,7 +25,7 @@ def make_harness(streams, config=None):
     stats = EspStats()
     controller = EspController(
         config, hierarchy, predictor, stats,
-        spec_stream_provider=lambda k: streams[k],
+        spec_stream_provider=lambda k: pack(streams[k]),
         handler_addr_provider=lambda k: 0x40_0000 + k * 0x100,
         n_events=len(streams))
     return controller, hierarchy, predictor, stats
@@ -132,8 +136,8 @@ class TestDivergedEventHints:
         controller, hierarchy, _, stats = make_harness(streams)
         controller.begin_event(0, 0)
         # pre-execute the *speculative* stream for event 1
-        controller._spec_stream = lambda k: spec_stream if k == 1 \
-            else streams[k]
+        controller._spec_stream = lambda k: pack(spec_stream if k == 1
+                                                 else streams[k])
         for stall in range(4):
             controller.on_stall(100 + stall * 400, 500.0)
         controller.begin_event(1, 5000)
@@ -188,8 +192,26 @@ class TestEndToEndEspInternals:
         stats = result.esp
         assert stats.i_cachelet_accesses > stats.i_cachelet_misses
 
-    def test_working_set_instrumentation(self, esp_run):
-        sim, _ = esp_run
+    def test_default_run_builds_no_working_sets(self, tiny_app):
+        """Working sets are opt-in: a default ESP run records none, in
+        normal mode or in any pre-executed context."""
+        sim = Simulator(tiny_app, presets.esp_nl())
+        states = []
+        sim.event_hook = lambda position: states.extend(
+            slot.state for slot in sim.esp.queue.slots
+            if slot is not None and slot.state is not None)
+        sim.run()
+        assert sim.esp.i_working_sets == []
+        assert sim.normal_i_working_sets == []
+        assert states
+        assert all(state.i_touched_by_mode is None for state in states)
+        cachelets = sim.esp.i_cachelets.modes + sim.esp.d_cachelets.modes
+        assert not any(hasattr(c, "touched") for c in cachelets)
+
+    def test_working_set_instrumentation(self, tiny_app):
+        sim = Simulator(tiny_app, presets.esp_nl())
+        sim.collect_working_sets = True
+        sim.run()
         assert sim.esp.i_working_sets
         for per_mode in sim.esp.i_working_sets:
             for mode, count in per_mode.items():

@@ -177,10 +177,11 @@ class TestBitIdentity:
             sim.collect_event_profile = True
             sim.run()
             results.append((sim.normal_i_working_sets,
-                            sim.normal_d_working_sets,
+                            sim.esp.i_working_sets,
                             [(p.event_index, p.instructions, p.cycles,
                               p.hinted) for p in sim.event_profiles]))
         assert results[0] == results[1]
+        assert results[0][1]
 
     def test_unknown_kernel_rejected(self, tiny_trace):
         with pytest.raises(ValueError, match="unknown kernel"):
@@ -232,7 +233,6 @@ class TestVectorBitIdentity:
             sim.collect_event_profile = True
             sim.run()
             results.append((sim.normal_i_working_sets,
-                            sim.normal_d_working_sets,
                             [(p.event_index, p.instructions, p.cycles,
                               p.hinted) for p in sim.event_profiles]))
         assert results[0] == results[1] == results[2]

@@ -220,3 +220,84 @@ def test_poll_returns_the_next_due_icount(i_blocks, d_blocks, icount):
     assert stats.list_prefetches_i + stats.list_prefetches_d == issued
     engine.poll(due, 30)
     assert stats.list_prefetches_i + stats.list_prefetches_d > issued
+
+
+# -- due-gated B-list training (the packed loop's contract with before_branch)
+
+_branch_entries = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=11), st.booleans(),
+              st.booleans(), st.integers(min_value=0, max_value=3)),
+    max_size=40)
+
+
+def _predictor_state(bp: PentiumMPredictor) -> tuple:
+    loops = [(pc, e.trip, e.count, e.confidence)
+             for pc, e in bp._loops.items()]
+    return (bp._global_tags, bp._global_ctr, bp._local_hist, bp._local_ctr,
+            loops, list(bp._btb.items()), list(bp._ibtb.items()), bp.pir)
+
+
+@given(_branch_entries, st.integers(min_value=0, max_value=16),
+       st.integers(min_value=0, max_value=60))
+@settings(max_examples=120, deadline=None)
+def test_training_when_due_matches_training_every_branch(entries, lead,
+                                                         n_branches):
+    """Calling ``before_branch`` only from the index it last returned
+    trains the same tables, counts the same ``blist_trained`` and installs
+    the same iBTB targets at the same branches as calling it before every
+    recordable branch, while the live predictor executes the recorded
+    path in between."""
+    branches = []
+    for site, taken, indirect, target in entries:
+        pc = 0x4000 + 0x40 * site
+        kind = KIND_IBRANCH if indirect else KIND_BRANCH
+        branches.append((pc, taken or indirect, kind,
+                         0x9000 + 0x100 * target, 10 * len(branches)))
+    config = EspConfig(enabled=True, blist_train_lead=lead)
+    runs = []
+    for gated in (False, True):
+        engine, _, predictor, stats = make_engine(config)
+        installs = []
+        install = predictor.install_indirect_target
+
+        def recording_install(pc, target, install=install,
+                              installs=installs):
+            installs.append((branch, pc, target))
+            install(pc, target)
+
+        predictor.install_indirect_target = recording_install
+        engine.attach(hints_with(branches=branches, config=config), cycle=0)
+        due = engine.branch_due
+        flags = []
+        for branch in range(1, n_branches + 1):
+            if not gated:
+                engine.before_branch(branch)
+            elif branch >= due:
+                due = engine.before_branch(branch)
+            pc, taken, kind, target, _ = branches[(branch - 1)
+                                                  % len(branches)] \
+                if branches else (0x4000, True, KIND_BRANCH, 0x9000, 0)
+            flags.append(predictor.execute_branch(pc, kind, taken, target))
+        runs.append((_predictor_state(predictor), stats.blist_trained,
+                     installs, flags))
+    assert runs[0] == runs[1]
+
+
+@given(_branch_entries, st.integers(min_value=0, max_value=16))
+@settings(max_examples=60, deadline=None)
+def test_before_branch_is_never_due_once_spent(entries, lead):
+    """After the last entry is trained and installed the engine returns
+    :data:`NEVER`; with no lead, that is one call past the last entry."""
+    branches = [(0x4000 + 0x40 * site, True, KIND_BRANCH, 0x9000, 10 * i)
+                for i, (site, _, _, _) in enumerate(entries)]
+    config = EspConfig(enabled=True, blist_train_lead=lead)
+    engine, _, _, stats = make_engine(config)
+    engine.attach(hints_with(branches=branches, config=config), cycle=0)
+    n = len(engine._b_entries)
+    assert engine.branch_due == (1 if n else NEVER)
+    due, branch = engine.branch_due, 0
+    while due != NEVER:
+        branch = due
+        due = engine.before_branch(branch)
+    assert stats.blist_trained == n
+    assert branch == (n + 1 if lead == 0 and n else n)

@@ -1,18 +1,15 @@
 """Tests for binary trace serialisation."""
 
 import io
-import zlib
 
 import pytest
 
-from repro.isa import KIND_ALU, KIND_BRANCH, KIND_LOAD, Instruction
 from repro.isa.tracefile import (
     _FOOTER_LEN,
     FOOTER_MAGIC,
     TraceIntegrityError,
     _read_varint,
     _unzigzag,
-    _write_stream,
     _write_varint,
     _zigzag,
     dump_trace,
@@ -151,6 +148,21 @@ class TestTraceRoundtrip:
             with pytest.raises(ValueError):
                 _decode_columns(bad_block, count)
 
+    @pytest.mark.parametrize("recorded", [False, True])
+    def test_event_index_out_of_range_raises(self, tiny_app, recorded):
+        """Both traces reject an index outside ``range(len(trace))``,
+        negative ones included, and cache nothing for it."""
+        trace = EventTrace(tiny_app)
+        if recorded:
+            trace = parse_trace(encode_trace(trace), profile=tiny_app)
+        last = trace.event(len(trace) - 1)
+        for bad in (-1, -len(trace), len(trace)):
+            with pytest.raises(IndexError):
+                trace.event(bad)
+        assert list(trace._cache) == [len(trace) - 1]
+        assert trace.event(len(trace) - 1) is last
+        assert last.index == len(trace) - 1
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bogus.espt"
         path.write_bytes(b"NOPE rest")
@@ -177,41 +189,6 @@ def _events(loaded):
             for k in range(len(loaded))]
 
 
-def _legacy_payload(trace, version: int) -> bytes:
-    """``trace`` in the per-instruction varint layout of versions 2 and 3
-    (version 3 adds the CRC32 footer)."""
-    buffer = io.BytesIO()
-    buffer.write(b"ESPT")
-    _write_varint(buffer, version)
-    name = trace.profile.name.encode()
-    _write_varint(buffer, len(name))
-    buffer.write(name)
-    _write_varint(buffer, trace.seed)
-    _write_varint(buffer, len(trace))
-    for k in range(len(trace)):
-        event = trace.event(k)
-        streams = [event.true_stream]
-        if event.diverged:
-            streams.append(event.spec_stream)
-        payloads = []
-        for stream in streams:
-            out = io.BytesIO()
-            _write_stream(out, stream)
-            payloads.append(out.getvalue())
-        _write_varint(buffer, event.handler_fid)
-        buffer.write(b"\x01" if event.diverged else b"\x00")
-        _write_varint(buffer, len(event.true_stream))
-        _write_varint(buffer, len(event.spec_stream)
-                      if event.diverged else 0)
-        _write_varint(buffer, len(payloads[0]))
-        _write_varint(buffer, len(payloads[1]) if event.diverged else 0)
-        buffer.write(b"".join(payloads))
-    payload = buffer.getvalue()
-    if version >= 3:
-        payload += FOOTER_MAGIC + zlib.crc32(payload).to_bytes(4, "little")
-    return payload
-
-
 class TestTraceIntegrity:
     """The CRC32 footer: corruption anywhere is detected — a load either
     raises or decodes streams identical to the original, never wrong
@@ -233,38 +210,6 @@ class TestTraceIntegrity:
         path.write_bytes(b"")
         with pytest.raises(ValueError):
             load_trace(path)
-
-    def test_v2_file_without_footer_still_loads(self, tiny_app, recorded,
-                                                tmp_path):
-        """Pre-footer (version 2) files are readable, unverified."""
-        trace, _, _ = recorded
-        legacy = _legacy_payload(trace, version=2)
-        assert legacy[4] == 2  # version varint right after the magic
-        path = tmp_path / "legacy.espt"
-        path.write_bytes(legacy)
-        loaded = load_trace(path, profile=tiny_app)
-        assert len(loaded) == len(trace)
-        assert loaded.event(0).true_stream == trace.event(0).true_stream
-
-    def test_v3_varint_file_loads_verified(self, tiny_app, recorded,
-                                           tmp_path):
-        """Version-3 files (per-instruction varints) decode into the same
-        packed streams, and their footer is still checked."""
-        trace, _, _ = recorded
-        legacy = _legacy_payload(trace, version=3)
-        path = tmp_path / "v3.espt"
-        path.write_bytes(legacy)
-        loaded = load_trace(path, profile=tiny_app)
-        for k in range(len(trace)):
-            assert (loaded.event(k).packed_true()
-                    == trace.event(k).packed_true())
-            assert (loaded.event(k).packed_spec()
-                    == trace.event(k).packed_spec())
-        corrupt = bytearray(legacy)
-        corrupt[len(corrupt) // 2] ^= 0x01
-        path.write_bytes(bytes(corrupt))
-        with pytest.raises(TraceIntegrityError):
-            load_trace(path, profile=tiny_app)
 
     @pytest.mark.parametrize("region", ["header", "varint_index", "stream",
                                         "footer"])
@@ -314,18 +259,3 @@ class TestTraceIntegrity:
         with pytest.raises(TraceIntegrityError):
             load_trace(path, profile=tiny_app)
 
-
-class TestStreamEncoding:
-    def test_mixed_kinds(self, tmp_path):
-        from repro.isa.tracefile import _read_stream, _write_stream
-
-        stream = [
-            Instruction(0x1000, KIND_ALU),
-            Instruction(0x1004, KIND_LOAD, addr=0x9000_0008),
-            Instruction(0x1008, KIND_BRANCH, taken=True, target=0x0800),
-            Instruction(0x0800, KIND_BRANCH, taken=False),
-        ]
-        buffer = io.BytesIO()
-        _write_stream(buffer, stream)
-        buffer.seek(0)
-        assert _read_stream(buffer, len(stream)) == stream
