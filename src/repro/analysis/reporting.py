@@ -169,13 +169,16 @@ out and two extensions:
 ## How to regenerate
 
 ```bash
-pytest benchmarks/ --benchmark-only -s        # full grids (~25 min cold)
+REPRO_JOBS=2 pytest benchmarks/ -q --benchmark-disable  # every claim test
+pytest benchmarks/ --benchmark-only -s        # the same grids, timed
 python examples/reproduce_figures.py figure9  # one figure
 python -m repro.analysis.reporting > EXPERIMENTS.md
 ```
 
-Runs cache under `.repro_cache/`; `REPRO_SCALE` trades workload size for
-time; `REPRO_SEED` varies the synthetic workloads.
+The claim suite takes 3 min 22 s from a cold cache at `REPRO_JOBS=2`
+and seed 0 (2-vCPU Xeon VM, CPython 3.11.7). Runs cache under
+`.repro_cache/`; `REPRO_SCALE` trades workload size for time;
+`REPRO_SEED` varies the synthetic workloads.
 """
 
 HEADER = """# EXPERIMENTS — paper vs. reproduction

@@ -76,8 +76,6 @@ class PreExecState:
     #: execution context; keeps speculative frames away from the normal
     #: event's RAS)
     ras: list[int] = field(default_factory=list)
-    #: execution-underway bit from the hardware event queue
-    started: bool = False
     finished: bool = False
     #: every hint list filled up: pre-executing further gathers nothing, so
     #: the controller stops spending idle cycles on this event
@@ -92,7 +90,3 @@ class PreExecState:
     i_touched_by_mode: dict[int, set[int]] | None = None
     #: block currently being fetched (re-entry resumes cleanly)
     last_i_block: int = -1
-
-    @property
-    def remaining(self) -> int:
-        return len(self.stream) - self.position if self.stream else 0

@@ -91,7 +91,6 @@ class EspController:
         #: own flag before running)
         self.collect_working_sets = False
         self.i_working_sets: list[dict[int, int]] = []
-        self._current_index = -1
         self._ras_dirty = False
         #: process-wide metrics registry (no-op unless enabled); stall
         #: entries and mode switches are recorded at stall granularity,
@@ -118,7 +117,6 @@ class EspController:
         """
         if position is None:
             position = event_index
-        self._current_index = event_index
         head = self.queue.dequeue()
         if head is not None and head.event_index != event_index:
             # the hardware queue held the wrong event: suppress its hints
@@ -295,7 +293,6 @@ class EspController:
             if self.esp.bp_mode is EspBpMode.SEPARATE_TABLES:
                 state.bp_replica = self.predictor.clone()
             slot.eu = True
-            state.started = True
         return state
 
     # -- the pre-execution inner loop -------------------------------------------

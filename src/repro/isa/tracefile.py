@@ -114,15 +114,6 @@ def _read_varint(data: BinaryIO) -> int:
         shift += 7
 
 
-def _zigzag(value: int) -> int:
-    return (value << 1) ^ (value >> 63) if value >= 0 else \
-        ((-value) << 1) - 1
-
-
-def _unzigzag(value: int) -> int:
-    return (value >> 1) if not value & 1 else -((value + 1) >> 1)
-
-
 # -- version 4: packed columns -------------------------------------------------
 
 def _encode_columns(packed: PackedStream) -> bytes:

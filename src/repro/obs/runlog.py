@@ -19,17 +19,15 @@ Record kinds (``kind`` field):
   (``worker-died`` / ``timeout`` / ``memory`` / ``error`` — a failed
   attempt that will be re-tried — or ``requeued``, a healthy task that
   lost its executor to a sibling's pool break or a wedged queue).
-* ``backend-choice`` — ``REPRO_BACKEND=auto`` resolved to a concrete
-  backend: the pick, the usable CPU count, the calibration probe's
-  worker-process round-trip seconds and the human-readable reason.
 * ``corrupt`` — an on-disk artifact (``trace`` / ``result`` / ``manifest``)
   failed its integrity check and was quarantined: artifact kind, original
   filename, quarantine filename (None when the move failed), and the cache
   key / app when known.
 * ``task-failed`` — a grid task that exhausted its attempt budget and was
   marked failed in the grid manifest, with its final reason.
-* ``fanout-disabled`` — a ``jobs="auto"`` runner found one usable CPU and
-  fell back to serial execution: the CPU count and pid.
+
+Logs written before the backend picker was removed may also hold
+``backend-choice`` and ``fanout-disabled`` records; readers skip them.
 """
 
 from __future__ import annotations

@@ -12,22 +12,18 @@ The scale component of keys and trace filenames is normalised through
 ``repr(float(scale))`` so ``scale=1`` (int) and ``scale=1.0`` (float) of
 the same workload share one cache entry.
 
-Grids fan out through a pluggable execution backend
-(:mod:`repro.exec`): ``REPRO_BACKEND`` (or the ``backend`` constructor
-argument / ``--backend`` CLI flag) selects ``serial``, ``process``
-or ``auto`` — which measures the machine shape and picks ``serial`` or
-``process``. When no backend is named, it derives from the worker
-count: ``REPRO_JOBS`` (or the ``jobs`` constructor argument /
-``--jobs`` CLI flag) above 1 means ``process``, the historical
-behaviour. :meth:`ExperimentRunner.run_many` hands the missing
-(app, config) pairs to the backend, which owns submission, per-task
-deadline accounting (measured from task *start*, so queue wait behind
-busy workers is never charged against ``REPRO_TASK_TIMEOUT``),
-straggler cancellation, and the hand-back of unfinished tasks to the
-serial retry ladder. Every simulation is a pure function of its key, so
-parallel results are bit-identical to serial ones; workers write the
-same on-disk caches atomically (write-to-temp + rename), making
-concurrent writers safe.
+The worker count is the one fan-out setting: ``REPRO_JOBS`` (or the
+``jobs`` constructor argument / ``--jobs`` CLI flag, default 1). At 1,
+:meth:`ExperimentRunner.run_many` runs every missing (app, config) pair
+in-process; above 1 it hands them to :func:`repro.exec.run_pool`, a
+process pool of ``min(jobs, missing pairs)`` workers that owns
+submission, per-task deadline accounting (measured from task *start*,
+so queue wait behind busy workers is never charged against
+``REPRO_TASK_TIMEOUT``), straggler cancellation, and the hand-back of
+unfinished tasks to the serial retry ladder. Every simulation is a pure
+function of its key, so parallel results are bit-identical to serial
+ones; workers write the same on-disk caches atomically (write-to-temp +
+rename), making concurrent writers safe.
 Event traces are recorded once per (app, scale, seed) into the cache's
 ``traces/`` directory using the :mod:`repro.isa.tracefile` format, and
 every simulation — in the parent or a worker — decodes its events from
@@ -96,8 +92,7 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Iterable
 
-from repro.exec import (BACKEND_NAMES, auto_pick, jittered_backoff,
-                        make_backend)
+from repro.exec import jittered_backoff, run_pool
 from repro.isa.tracefile import VERSION as TRACE_VERSION
 from repro.isa.tracefile import (
     LoadedTrace,
@@ -122,7 +117,6 @@ _CACHE_ENV = "REPRO_CACHE_DIR"
 _SCALE_ENV = "REPRO_SCALE"
 _SEED_ENV = "REPRO_SEED"
 _JOBS_ENV = "REPRO_JOBS"
-_BACKEND_ENV = "REPRO_BACKEND"
 _TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
 _LOG_DIR_ENV = "REPRO_LOG_DIR"
 _MAX_ATTEMPTS_ENV = "REPRO_MAX_ATTEMPTS"
@@ -162,9 +156,6 @@ _warned_envs: set[str] = set()
 #: the low-disk degradation warns once per process, not once per runner
 _warned_low_disk = False
 
-#: likewise the single-CPU fan-out auto-disable notice
-_warned_single_cpu = False
-
 
 def _env_or_default(name: str, default, convert):
     """``convert(os.environ[name])``, falling back to ``default`` (with a
@@ -201,33 +192,6 @@ def default_seed() -> int:
 def default_jobs() -> int:
     """Worker-process count from ``REPRO_JOBS`` (default 1 = serial)."""
     return max(1, _env_or_default(_JOBS_ENV, 1, int))
-
-
-def _parse_backend_name(raw: str) -> str:
-    """Normalise and validate one backend name (raises ``ValueError`` on
-    anything outside :data:`repro.exec.BACKEND_NAMES`)."""
-    value = raw.strip().lower()
-    if value not in BACKEND_NAMES:
-        raise ValueError(f"unknown execution backend {value!r}; expected "
-                         f"one of {', '.join(BACKEND_NAMES)}")
-    return value
-
-
-def default_backend() -> str | None:
-    """Execution backend from ``REPRO_BACKEND`` (default None = derive
-    from the worker count: ``process`` when jobs > 1, else ``serial``).
-    Empty means unset — CI matrix legs export the variable as ``''``
-    on the legs that don't pin a backend."""
-    if not os.environ.get(_BACKEND_ENV, "").strip():
-        return None
-    return _env_or_default(_BACKEND_ENV, None, _parse_backend_name)
-
-
-def available_cpus() -> int:
-    """CPUs this process may use: ``os.process_cpu_count()`` (3.13+,
-    affinity-aware) when available, else ``os.cpu_count()``, floor 1."""
-    counter = getattr(os, "process_cpu_count", None) or os.cpu_count
-    return counter() or 1
 
 
 def default_task_timeout() -> float | None:
@@ -340,18 +304,16 @@ class ExperimentRunner:
     def __init__(self, cache_dir: Path | str | None = None,
                  scale: float | None = None, seed: int | None = None,
                  use_disk_cache: bool = True,
-                 jobs: int | str | None = None,
-                 backend: str | None = None,
+                 jobs: int | None = None,
                  task_timeout: float | None = None,
                  log_dir: Path | str | None = None,
                  max_attempts: int | None = None,
                  retry_backoff: float | None = None,
                  min_disk_mb: int | None = None,
                  mem_limit_mb: int | None = None) -> None:
-        """``backend`` (or ``REPRO_BACKEND``) names the execution
-        backend for grid batches — ``serial``, ``process`` or ``auto``
-        (see :mod:`repro.exec`); unset, it derives from the
-        worker count. ``task_timeout`` (or ``REPRO_TASK_TIMEOUT``) bounds each
+        """``jobs`` (or ``REPRO_JOBS``, default 1) is the worker count
+        for grid batches: above 1, uncached tasks fan out over a process
+        pool. ``task_timeout`` (or ``REPRO_TASK_TIMEOUT``) bounds each
         task attempt; ``max_attempts`` / ``retry_backoff`` (or
         ``REPRO_MAX_ATTEMPTS`` / ``REPRO_RETRY_BACKOFF``) shape the retry
         schedule before a task is marked failed; ``log_dir`` forces JSONL
@@ -365,45 +327,7 @@ class ExperimentRunner:
         self.cache_dir = Path(cache_dir) if cache_dir is not None \
             else default_cache_dir()
         self.use_disk_cache = use_disk_cache
-        fanout_disabled = False
-        if jobs == "auto":
-            # size the pool to the CPUs this process may actually use —
-            # but an explicitly-set REPRO_JOBS always wins, and a
-            # single-CPU host gets no fan-out at all (worker processes
-            # would only add serialization overhead there)
-            if os.environ.get(_JOBS_ENV) is not None:
-                self.jobs = default_jobs()
-            else:
-                cpus = available_cpus()
-                self.jobs = max(1, cpus)
-                if cpus <= 1:
-                    fanout_disabled = True
-                    global _warned_single_cpu
-                    if not _warned_single_cpu:
-                        _warned_single_cpu = True
-                        warnings.warn(
-                            "jobs='auto' on a single-CPU host: process "
-                            "fan-out disabled (set REPRO_JOBS to force "
-                            "a pool)", RuntimeWarning, stacklevel=2)
-        else:
-            self.jobs = default_jobs() if jobs is None \
-                else max(1, int(jobs))
-        #: whether the pool width was chosen by the user (constructor or
-        #: ``REPRO_JOBS``) — if not, parallel backends size themselves
-        #: to the usable CPUs instead of inheriting the serial default
-        self._jobs_explicit = jobs is not None \
-            or os.environ.get(_JOBS_ENV) is not None
-        if backend is not None:
-            self.backend_requested: str | None = \
-                _parse_backend_name(str(backend))
-        else:
-            self.backend_requested = default_backend()
-        #: the resolved backend name — None until a batch needed one
-        self.backend_name: str | None = None
-        #: the :class:`repro.exec.BackendChoice` recorded when ``auto``
-        #: resolved (None for explicit or derived backends)
-        self.backend_choice = None
-        self._backend_impl = None
+        self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
         #: execution context stamped on this runner's run records:
         #: "serial" (parent / inline) or "process" (worker processes)
         self.backend_label = "serial"
@@ -425,10 +349,6 @@ class ExperimentRunner:
             self._runlog = RunLogWriter(default_log_dir(self.cache_dir))
         else:
             self._runlog = RunLogWriter(None)
-        if fanout_disabled and self._runlog.enabled:
-            self._runlog.write({
-                "kind": "fanout-disabled", "ts": round(time.time(), 3),
-                "cpus": available_cpus(), "pid": os.getpid()})
         #: parallel tasks completed serially after a worker died/timed out
         self.retries = 0
         #: key -> why its pool try (attempt 1) failed, for the tasks of
@@ -739,7 +659,7 @@ class ExperimentRunner:
         self._timings = (t1 - t0, time.perf_counter() - t1)
         return result
 
-    # -- execution backends ----------------------------------------------------
+    # -- process fan-out -------------------------------------------------------
 
     def _pool_cls(self):
         """The executor class for worker processes — resolved from the
@@ -752,49 +672,7 @@ class ExperimentRunner:
         module global likewise."""
         return _run_in_worker
 
-    def _fanout_workers(self, n_tasks: int) -> int:
-        """Pool width for a batch of ``n_tasks``: an explicit ``jobs``
-        (constructor or ``REPRO_JOBS``) wins; otherwise a parallel
-        backend sizes itself to the usable CPUs."""
-        base = self.jobs if self._jobs_explicit \
-            else max(self.jobs, available_cpus())
-        return max(1, min(base, n_tasks))
-
-    def _resolve_backend(self):
-        """The :class:`~repro.exec.ExecutionBackend` running this
-        runner's batches, resolved once — on the first batch that has
-        uncached work, so fully-cached campaigns never pay for (or are
-        perturbed by) a probe. ``auto`` is measured here and its choice,
-        with the machine inputs that drove it, is recorded."""
-        if self._backend_impl is None:
-            requested = self.backend_requested
-            if requested is None:
-                # historical behaviour: the worker count implies the
-                # backend — a pool when jobs > 1, in-process otherwise
-                requested = "process" if self.jobs > 1 else "serial"
-            name = requested
-            if requested == "auto":
-                choice = auto_pick(pool_cls=self._pool_cls())
-                self.backend_choice = choice
-                self._log_backend_choice(choice)
-                name = choice.backend
-            self._backend_impl = make_backend(name)
-            self.backend_name = name
-            self.metrics.inc(f"backend.selected.{name}")
-        return self._backend_impl
-
-    def _log_backend_choice(self, choice) -> None:
-        """Append one ``backend-choice`` record: what ``auto`` picked
-        and the machine measurements that drove it."""
-        self.metrics.inc(f"backend.auto.{choice.backend}")
-        if not self._runlog.enabled:
-            return
-        record = {"kind": "backend-choice", "ts": round(time.time(), 3),
-                  "pid": os.getpid()}
-        record.update(choice.to_record())
-        self._runlog.write(record)
-
-    # -- fan-out accounting (the backends call back into these) ----------------
+    # -- fan-out accounting (run_pool calls back into these) -------------------
 
     def _note_timeout(self, key: str, app: str) -> None:
         """One straggler exceeded ``task_timeout`` — measured from its
@@ -828,7 +706,7 @@ class ExperimentRunner:
 
     def _note_error(self, key: str, app: str, exc: Exception) -> None:
         """A task raised ``exc`` inside its worker — a genuine simulation
-        error, not an executor casualty. The backend hands it back so the
+        error, not an executor casualty. The pool hands it back so the
         serial ladder, which owns the attempt budget, retries it and (if
         it keeps failing) marks it failed instead of the one exception
         crashing the whole batch."""
@@ -852,21 +730,20 @@ class ExperimentRunner:
         charged against the task's deadline."""
         self.metrics.observe("backend.queue_wait_s", seconds)
 
-    # -- parallel fan-out -----------------------------------------------------
+    # -- grid batches ---------------------------------------------------------
 
     def run_many(self, pairs: Iterable[tuple[str, SimConfig]],
                  label: str | None = None) -> list[SimResult]:
-        """Run every (app, config) pair, handing uncached ones to this
-        runner's execution backend (``REPRO_BACKEND`` / the ``backend``
-        constructor argument; derived from ``self.jobs`` when unset).
+        """Run every (app, config) pair; with ``self.jobs`` above 1 the
+        uncached ones fan out over a process pool (:func:`run_pool`).
 
         Results come back in ``pairs`` order — always one per pair, even
         when a worker dies or times out mid-batch (its tasks are
         completed serially in the parent, timeout-bounded, with retries
-        and exponential backoff) — and are bit-identical across
-        backends: each simulation is a pure function of its key, and
+        and exponential backoff) — and are bit-identical at every worker
+        count: each simulation is a pure function of its key, and
         workers share the parent's on-disk caches via atomic writes. If
-        the platform cannot spawn the backend's workers (restricted
+        the platform cannot spawn worker processes (restricted
         sandboxes), the batch silently degrades to serial execution.
 
         The batch's tasks are recorded in a grid manifest under
@@ -896,8 +773,7 @@ class ExperimentRunner:
         progress = ProgressLine(len(unique), label="sims")
         progress.advance(len(results), note="cached")
         missing = todo
-        if todo and self._resolve_backend().parallel:
-            backend = self._backend_impl
+        if todo and self.jobs > 1:
             # record the traces before fanning out so workers load
             # instead of each regenerating the same apps
             if self.use_disk_cache:
@@ -906,7 +782,7 @@ class ExperimentRunner:
             if manifest is not None:
                 manifest.record_attempts([key for key, _, _ in todo])
             self._pool_failures = {}
-            missing = backend.run_batch(self, todo, results, progress)
+            missing = run_pool(self, todo, results, progress)
             if manifest is not None:
                 manifest.mark_many(
                     [key for key, _, _ in todo if key in results], "done")
@@ -1086,8 +962,7 @@ class ExperimentRunner:
             runner = ExperimentRunner(
                 cache_dir=self.cache_dir, scale=manifest.scale,
                 seed=manifest.seed, use_disk_cache=self.use_disk_cache,
-                jobs=self.jobs if self._jobs_explicit else None,
-                backend=self.backend_requested,
+                jobs=self.jobs,
                 # 0, not None: None would fall back to REPRO_TASK_TIMEOUT
                 task_timeout=self.task_timeout or 0,
                 log_dir=self._runlog.log_dir if self._runlog.enabled

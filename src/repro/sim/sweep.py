@@ -13,11 +13,10 @@ in the benchmarks, the examples, or interactive use — are declarative:
         values=[20, 190, 1500])
     table = sweep.run(runner, apps=("amazon", "bing"))
 
-Sweeps inherit the runner's execution backend: the whole (config × app)
-grid is submitted as one ``run_many`` batch, so whatever
-``ExperimentRunner(backend=...)`` (or ``REPRO_BACKEND``) resolved to —
-serial, process pool, or the auto pick — fans the sweep
-out without any sweep-specific plumbing.
+Sweeps inherit the runner's fan-out: the whole (config × app) grid is
+submitted as one ``run_many`` batch, so a runner with ``jobs`` above 1
+(or ``REPRO_JOBS``) spreads the sweep over its process pool without any
+sweep-specific plumbing.
 """
 
 from __future__ import annotations

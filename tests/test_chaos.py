@@ -91,9 +91,9 @@ class TestCorruptionStorms:
         parent completes the stragglers, results stay bit-identical."""
         _arm(monkeypatch, "kill_worker:0.5,seed:2")
         # worker-kill faults only fire inside process-pool workers: pin
-        # the backend so an ambient REPRO_BACKEND can't defuse the storm
+        # jobs=2 so an ambient REPRO_JOBS can't defuse the storm
         chaos = ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0,
-                                 jobs=2, backend="process",
+                                 jobs=2,
                                  task_timeout=120.0,
                                  max_attempts=6, retry_backoff=0.01)
         got = [r.to_dict() for r in chaos.run_many(_pairs())]
@@ -107,7 +107,7 @@ class TestCorruptionStorms:
         _arm(monkeypatch,
              "corrupt_trace:0.4,torn_write:0.4,kill_worker:0.3,seed:3")
         chaos = ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0,
-                                 jobs=2, backend="process",
+                                 jobs=2,
                                  task_timeout=120.0,
                                  max_attempts=6, retry_backoff=0.01)
         got = [r.to_dict() for r in chaos.run_many(_pairs())]
@@ -156,7 +156,7 @@ class TestMidSimResilience:
         monkeypatch.setattr("repro.sim.experiments._run_in_worker",
                             partial(_lost_after_start_worker, mode=mode))
         runner = ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0,
-                                  jobs=2, backend="process",
+                                  jobs=2,
                                   task_timeout=LOST_TIMEOUT_S,
                                   max_attempts=6, retry_backoff=0.01)
         got = [r.to_dict() for r in runner.run_many(_pairs())]
@@ -176,7 +176,7 @@ class TestMidSimResilience:
                             partial(_lost_after_start_worker, mode="hang",
                                     attempts_log=str(attempts_log)))
         runner = ExperimentRunner(cache_dir=tmp_path / "cache", scale=0.1,
-                                  seed=0, jobs=2, backend="process",
+                                  seed=0, jobs=2,
                                   task_timeout=LOST_TIMEOUT_S,
                                   max_attempts=6, retry_backoff=0.01)
         got = [r.to_dict() for r in runner.run_many(_pairs())]
@@ -201,9 +201,9 @@ class TestMidSimResilience:
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
         faults.set_fault_plan(faults.FaultPlan())
         # the RSS ceiling is only armed in process-pool workers (never
-        # in the parent's inline path): pin the backend
+        # in the parent's inline path): pin jobs=2
         chaos = ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0,
-                                 jobs=2, backend="process",
+                                 jobs=2,
                                  task_timeout=60.0,
                                  max_attempts=6, retry_backoff=0.01,
                                  mem_limit_mb=1)
@@ -222,10 +222,10 @@ class TestInterruptResume:
         interrupts = 0
         results = None
         for _ in range(40):  # the storm is finite: draws advance
-            # interrupts fire on the serial completion path: pin the
-            # backend so an ambient REPRO_BACKEND can't bypass them
+            # interrupts fire on the serial completion path: pin jobs=1
+            # so an ambient REPRO_JOBS can't bypass them
             runner = ExperimentRunner(cache_dir=tmp_path, scale=0.1,
-                                      seed=0, jobs=1, backend="serial")
+                                      seed=0, jobs=1)
             try:
                 results = runner.run_many(_pairs(), label="chaos")
                 break

@@ -19,14 +19,21 @@ class TestParser:
         assert args.scale == 1.0
 
     def test_unknown_command(self, capsys):
-        # the retired remote backend's ``worker`` subcommand and
-        # ``--backend remote`` are unknown names like any other
-        for argv in (["frobnicate"], ["worker"],
-                     ["run", "bing", "--backend", "remote"]):
+        # the retired remote backend's ``worker`` subcommand is an
+        # unknown name like any other, and the retired ``--backend``
+        # flag an unknown option
+        for argv in (["frobnicate"], ["worker"]):
             with pytest.raises(SystemExit) as info:
                 build_parser().parse_args(argv)
             assert info.value.code == 2
             assert "invalid choice" in capsys.readouterr().err
+        for argv in (["run", "bing", "--backend", "remote"],
+                     ["run", "bing", "--backend", "process"]):
+            with pytest.raises(SystemExit) as info:
+                build_parser().parse_args(argv)
+            assert info.value.code == 2
+            assert "unrecognized arguments: --backend" \
+                in capsys.readouterr().err
 
     def test_optional_name_lists_may_be_empty(self):
         parser = build_parser()
@@ -155,9 +162,9 @@ class TestStats:
         ``steal`` / ``remote-degraded`` / ``fetch`` records, and logs of
         the retired mid-simulation checkpointing and worker watchdog
         carry ``checkpoint`` / ``resume`` / ``stalled`` records, and
-        ``backend-choice`` records from before the auto picker dropped
-        its interpreter spin score carry ``spin_score``; they still
-        summarise, and the fields and record kinds are ignored."""
+        logs of the retired backend picker carry ``backend-choice`` and
+        ``fanout-disabled`` records; they still summarise, and the
+        fields and record kinds are ignored."""
         records = [
             {"kind": "run", "app": "bing", "cache": "simulated",
              "backend": "thread", "kernel": "vector", "memo_replayed": 7,
@@ -187,6 +194,7 @@ class TestStats:
             {"kind": "backend-choice", "backend": "process", "cpus": 2,
              "spin_score": 41234567.8, "process_roundtrip_s": 0.0312,
              "reason": "2 usable CPUs and a 31ms worker round-trip"},
+            {"kind": "fanout-disabled", "cpus": 1, "pid": 42},
         ]
         (tmp_path / "runs.jsonl").write_text(
             "".join(json.dumps(r) + "\n" for r in records))
@@ -196,7 +204,7 @@ class TestStats:
         assert summary["simulated"] == 1
         assert summary["cache_hits"] == 1
         assert summary["apps"]["bing"]["simulate_s"] == 2.0
-        assert summary["backend_choices"] == {"process": 1}
+        assert "backend_choices" not in summary
         assert not any(key.startswith(("kernel", "memo", "sampled",
                                        "remote", "store"))
                        for key in summary)
@@ -209,6 +217,7 @@ class TestStats:
         assert "bing" in table
         assert "sampling" not in table and "kernels" not in table
         assert "remote —" not in table and "store —" not in table
+        assert "auto picked" not in table
         header = table.splitlines()[0].split()
         assert "ckpt" not in header and "res" not in header
         assert "resilience — tasks requeued: 1" in table.splitlines()

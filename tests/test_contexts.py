@@ -40,17 +40,10 @@ class TestPreExecState:
     def test_defaults(self):
         state = PreExecState(event_index=3)
         assert state.position == 0
-        assert not state.started
+        assert state.stream is None
         assert not state.finished
         assert not state.exhausted
-        assert state.remaining == 0
         assert state.ras == []
-
-    def test_remaining(self):
-        state = PreExecState(event_index=0)
-        state.stream = [object()] * 10
-        state.position = 4
-        assert state.remaining == 6
 
     def test_independent_ras_per_state(self):
         a = PreExecState(event_index=0)

@@ -88,10 +88,10 @@ class TestPreExecution:
         # fetch is an LLC miss); the second resumes ESP-1 past it
         c.on_stall(cycle=100, budget=400.0)
         c.on_stall(cycle=800, budget=400.0)
-        state = c.queue.slot(0).state
-        assert state is not None
-        assert state.started
-        assert state.position > 0
+        slot = c.queue.slot(0)
+        assert slot.state is not None
+        assert slot.eu
+        assert slot.state.position > 0
         assert harness.stats.pre_instructions[0] > 0
 
     def test_small_stall_ignored(self, harness):

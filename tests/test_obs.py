@@ -336,10 +336,10 @@ class TestWorkerRetryPath:
                             _poisoned_worker)
         monkeypatch.setenv("REPRO_POISON_FILE", str(poison))
         log_dir = tmp_path / "logs"
-        # the poisoned worker is a process-pool stand-in: pin the backend
-        # so an ambient REPRO_BACKEND can't reroute the batch around it
+        # the poisoned worker is a process-pool stand-in: pin jobs=2 so
+        # an ambient REPRO_JOBS can't reroute the batch around it
         runner = ExperimentRunner(cache_dir=tmp_path / "cache", scale=0.25,
-                                  seed=0, jobs=2, backend="process",
+                                  seed=0, jobs=2,
                                   log_dir=log_dir)
         pairs = [("bing", presets.baseline()), ("pixlr", presets.baseline())]
         results = runner.run_many(pairs)

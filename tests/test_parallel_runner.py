@@ -139,7 +139,7 @@ class TestFallback:
         monkeypatch.setattr("repro.sim.experiments.ProcessPoolExecutor",
                             broken_pool)
         runner = ExperimentRunner(cache_dir=tmp_path, scale=0.25, seed=0,
-                                  jobs=4, backend="process")
+                                  jobs=4)
         results = runner.run_many([("bing", presets.baseline())])
         reference = ExperimentRunner(
             cache_dir=tmp_path / "ref", scale=0.25, seed=0,
@@ -168,11 +168,10 @@ class TestFaultTolerance:
         order-preserving result list, computed serially in the parent."""
         monkeypatch.setattr("repro.sim.experiments._run_in_worker",
                             _always_dying_worker)
-        # the dying worker is a process-pool stand-in: pin the backend so
-        # an ambient REPRO_BACKEND (the CI backend legs) can't reroute
-        # the batch around it
+        # the dying worker is a process-pool stand-in: pin jobs=2 so an
+        # ambient REPRO_JOBS can't reroute the batch around it
         runner = ExperimentRunner(cache_dir=tmp_path, scale=0.25, seed=0,
-                                  jobs=2, backend="process")
+                                  jobs=2)
         baseline = presets.baseline()
         pairs = [("bing", baseline), ("pixlr", baseline),
                  ("bing", presets.nl())]
@@ -193,8 +192,7 @@ class TestFaultTolerance:
         monkeypatch.setattr("repro.sim.experiments._run_in_worker",
                             _slow_worker)
         runner = ExperimentRunner(cache_dir=tmp_path, scale=0.25, seed=0,
-                                  jobs=2, backend="process",
-                                  task_timeout=0.2,
+                                  jobs=2, task_timeout=0.2,
                                   max_attempts=2, retry_backoff=0.01)
         with pytest.raises(GridTaskError) as info:
             runner.run_many([("bing", presets.baseline())])
@@ -216,11 +214,10 @@ class TestFaultTolerance:
         one task burns its whole attempt budget."""
         monkeypatch.setattr("repro.sim.experiments._run_in_worker",
                             _flaky_worker)
-        # backend="serial" pins the serial retry ladder (the subject of
-        # this test) even under an ambient REPRO_BACKEND
+        # jobs=1 pins the serial retry ladder (the subject of this test)
+        # even under an ambient REPRO_JOBS
         runner = ExperimentRunner(cache_dir=tmp_path, scale=0.25, seed=0,
-                                  jobs=1, backend="serial",
-                                  task_timeout=0.3, max_attempts=1)
+                                  jobs=1, task_timeout=0.3, max_attempts=1)
         baseline = presets.baseline()
         with pytest.raises(GridTaskError):
             runner.run_many([("bing", baseline), ("pixlr", baseline)])
@@ -252,47 +249,3 @@ class TestJobsConfiguration:
 
     def test_jobs_floor_is_one(self):
         assert ExperimentRunner(use_disk_cache=False, jobs=0).jobs == 1
-
-
-class TestAutoJobs:
-    def test_auto_jobs_single_cpu_disables_fanout(self, tmp_path,
-                                                  monkeypatch):
-        from repro.sim import experiments
-
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        monkeypatch.setattr(experiments, "available_cpus", lambda: 1)
-        monkeypatch.setattr(experiments, "_warned_single_cpu", False)
-        with pytest.warns(RuntimeWarning, match="single-CPU"):
-            runner = experiments.ExperimentRunner(
-                cache_dir=tmp_path, jobs="auto", log_dir=tmp_path / "log")
-        assert runner.jobs == 1
-        records = [json.loads(line) for path
-                   in (tmp_path / "log").glob("*.jsonl")
-                   for line in path.read_text().splitlines()]
-        assert any(r.get("kind") == "fanout-disabled" for r in records)
-
-    def test_auto_jobs_multi_cpu_fans_out(self, tmp_path, monkeypatch):
-        from repro.sim import experiments
-
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        monkeypatch.setattr(experiments, "available_cpus", lambda: 4)
-        runner = experiments.ExperimentRunner(cache_dir=tmp_path,
-                                              jobs="auto")
-        assert runner.jobs == 4
-
-    def test_repro_jobs_env_beats_auto(self, tmp_path, monkeypatch):
-        from repro.sim import experiments
-
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        monkeypatch.setattr(experiments, "available_cpus", lambda: 1)
-        runner = experiments.ExperimentRunner(cache_dir=tmp_path,
-                                              jobs="auto")
-        assert runner.jobs == 3
-
-    def test_explicit_int_jobs_untouched(self, tmp_path, monkeypatch):
-        from repro.sim import experiments
-
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        monkeypatch.setattr(experiments, "available_cpus", lambda: 1)
-        runner = experiments.ExperimentRunner(cache_dir=tmp_path, jobs=2)
-        assert runner.jobs == 2

@@ -378,9 +378,9 @@ class TestRunnerResume:
                      _runner(tmp_path / "ref").run_many(pairs)]
 
         set_fault_plan(FaultPlan({"interrupt": 1.0}, seed=0))
-        # interrupts fire on the serial completion path: pin the backend
-        # so an ambient REPRO_BACKEND can't bypass them
-        runner = _runner(tmp_path, backend="serial")
+        # interrupts fire on the serial completion path: _runner pins
+        # jobs=1 so an ambient REPRO_JOBS can't bypass them
+        runner = _runner(tmp_path)
         with pytest.raises(KeyboardInterrupt):
             runner.run_many(pairs, label="resumable")
         set_fault_plan(FaultPlan())  # clear the injected interrupts
@@ -404,12 +404,11 @@ class TestRunnerResume:
         def poisoned(self, app, cfg, **kwargs):
             raise RuntimeError("injected simulation bug")
 
-        # the poisoned _simulate only exists in this process: pin the
-        # backend so an ambient REPRO_BACKEND=process can't hand the
-        # task to an unpatched worker
+        # the poisoned _simulate only exists in this process: _runner
+        # pins jobs=1 so an ambient REPRO_JOBS can't hand the task to a
+        # pool worker
         monkeypatch.setattr(ExperimentRunner, "_simulate", poisoned)
-        runner = _runner(tmp_path, max_attempts=2, retry_backoff=0.0,
-                         backend="serial")
+        runner = _runner(tmp_path, max_attempts=2, retry_backoff=0.0)
         with pytest.raises(experiments_mod.GridTaskError) as info:
             runner.run_many([("bing", config)])
         assert "injected simulation bug" in str(info.value)
@@ -429,8 +428,7 @@ class TestRunnerResume:
         config = presets.baseline()
         set_fault_plan(FaultPlan({"interrupt": 1.0}, seed=0))
         first = ExperimentRunner(cache_dir=tmp_path, scale=0.05, seed=0,
-                                 jobs=1, backend="serial",
-                                 log_dir=tmp_path / "first-logs")
+                                 jobs=1, log_dir=tmp_path / "first-logs")
         with pytest.raises(KeyboardInterrupt):
             first.run_many([("bing", config)], label="small")
         set_fault_plan(FaultPlan())
@@ -445,7 +443,7 @@ class TestRunnerResume:
         monkeypatch.setattr(ExperimentRunner, "run_many", spy)
         log_dir = tmp_path / "resume-logs"
         runner = _runner(tmp_path, log_dir=log_dir, mem_limit_mb=777,
-                         min_disk_mb=1, backend="serial")
+                         min_disk_mb=1)
         manifest, results = runner.resume_grid()
         assert manifest.is_complete
         assert [r.app for r in results] == ["bing"]

@@ -9,9 +9,7 @@ from repro.isa.tracefile import (
     FOOTER_MAGIC,
     TraceIntegrityError,
     _read_varint,
-    _unzigzag,
     _write_varint,
-    _zigzag,
     dump_trace,
     encode_trace,
     load_trace,
@@ -36,10 +34,6 @@ class TestVarints:
     def test_truncated_raises(self):
         with pytest.raises(EOFError):
             _read_varint(io.BytesIO(b"\x80"))
-
-    @pytest.mark.parametrize("value", [0, 1, -1, 4, -4, 10 ** 9, -10 ** 9])
-    def test_zigzag_roundtrip(self, value):
-        assert _unzigzag(_zigzag(value)) == value
 
     def test_small_values_one_byte(self):
         buffer = io.BytesIO()
