@@ -8,35 +8,28 @@ issues *fewer, more accurate* prefetches than runahead pre-executes, so a
 finite bus should hurt it less.
 """
 
-import dataclasses
-
-from conftest import hmean_improvement
-
 from repro.sim import presets
 from repro.sim.config import MemoryConfig
+from repro.sim.sweep import ParameterSweep
 
 APPS = ("amazon", "bing", "pixlr")
 METERED = MemoryConfig(dram_line_transfer_cycles=8)
 
 
-def gains(runner, memory: MemoryConfig):
-    base_cfg = presets.baseline().replace(memory=memory)
-    out = {}
-    for name in ("esp_nl", "runahead_nl"):
-        cfg = presets.by_name(name).replace(memory=memory)
-        out[name] = hmean_improvement({
-            app: runner.run(app, cfg).improvement_over(
-                runner.run(app, base_cfg))
-            for app in APPS})
-    return out
-
-
 def test_bandwidth_sensitivity(benchmark, runner):
     def sweep():
-        return {
-            "latency-only": gains(runner, MemoryConfig()),
-            "12.8 GB/s bus": gains(runner, METERED),
-        }
+        out = {}
+        for label, memory in (("latency-only", MemoryConfig()),
+                              ("12.8 GB/s bus", METERED)):
+            base = presets.baseline().replace(memory=memory)
+            points = ParameterSweep(
+                base, lambda _cfg, name: presets.by_name(name).replace(
+                    memory=memory),
+                ("esp_nl", "runahead_nl"), baseline=base,
+                knob="preset").run(runner, APPS).points
+            out[label] = {point.value: point.hmean_improvement
+                          for point in points}
+        return out
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print(f"\nbandwidth ablation (improvement %): {results}")

@@ -11,24 +11,19 @@ import dataclasses
 
 import pytest
 
-from conftest import hmean_improvement
-
 from repro.sim import presets
 from repro.sim.config import EspConfig
+from repro.sim.sweep import ParameterSweep, esp_knob
 
 APPS = ("amazon", "bing", "pixlr")
 
 
-def esp_with(**esp_changes):
-    base = presets.esp_nl()
-    return base.replace(esp=dataclasses.replace(base.esp, **esp_changes),
-                        name=f"esp_nl[{esp_changes}]")
-
-
-def improvements(runner, config, apps=APPS):
-    base = {app: runner.run(app, presets.baseline()) for app in apps}
-    return {app: runner.run(app, config).improvement_over(base[app])
-            for app in apps}
+def sweep_gains(runner, vary, values, knob):
+    """HMean improvement (%) over the baseline per value of one ESP+NL
+    knob, the whole sweep run as one batch."""
+    sweep = ParameterSweep(presets.esp_nl(), vary, values, knob=knob)
+    return {point.value: point.hmean_improvement
+            for point in sweep.run(runner, APPS).points}
 
 
 def depth_config(depth: int) -> EspConfig:
@@ -47,12 +42,9 @@ class TestJumpAheadDepth:
 
     def test_depth_sweep(self, benchmark, runner):
         def sweep():
-            out = {}
-            for depth in (1, 2, 4):
-                cfg = presets.esp_nl().replace(
-                    esp=depth_config(depth), name=f"esp-depth{depth}")
-                out[depth] = hmean_improvement(improvements(runner, cfg))
-            return out
+            return sweep_gains(
+                runner, lambda cfg, depth: cfg.replace(
+                    esp=depth_config(depth)), (1, 2, 4), "depth")
 
         gains = benchmark.pedantic(sweep, rounds=1, iterations=1)
         print(f"\njump-ahead depth sweep (improvement %): {gains}")
@@ -67,11 +59,8 @@ class TestPrefetchLead:
 
     def test_lead_sweep(self, benchmark, runner):
         def sweep():
-            return {
-                lead: hmean_improvement(
-                    improvements(runner, esp_with(prefetch_lead=lead)))
-                for lead in (20, 190, 1500)
-            }
+            return sweep_gains(runner, esp_knob("prefetch_lead"),
+                               (20, 190, 1500), "prefetch_lead")
 
         gains = benchmark.pedantic(sweep, rounds=1, iterations=1)
         print(f"\nprefetch-lead sweep (improvement %): {gains}")
@@ -85,9 +74,10 @@ class TestListCapacity:
     """Figure 8's list budgets vs halved and doubled provisioning."""
 
     def test_capacity_sweep(self, benchmark, runner):
-        def scaled(factor):
-            esp = presets.esp_nl().esp
-            return esp_with(
+        def scaled(cfg, factor):
+            esp = cfg.esp
+            return cfg.replace(esp=dataclasses.replace(
+                esp,
                 i_list_bytes=tuple(int(b * factor)
                                    for b in esp.i_list_bytes),
                 d_list_bytes=tuple(int(b * factor)
@@ -95,14 +85,11 @@ class TestListCapacity:
                 b_list_dir_bytes=tuple(int(b * factor)
                                        for b in esp.b_list_dir_bytes),
                 b_list_tgt_bytes=tuple(max(2, int(b * factor))
-                                       for b in esp.b_list_tgt_bytes))
+                                       for b in esp.b_list_tgt_bytes)))
 
         def sweep():
-            return {
-                factor: hmean_improvement(
-                    improvements(runner, scaled(factor)))
-                for factor in (0.5, 1.0, 2.0)
-            }
+            return sweep_gains(runner, scaled, (0.5, 1.0, 2.0),
+                               "list_capacity")
 
         gains = benchmark.pedantic(sweep, rounds=1, iterations=1)
         print(f"\nlist-capacity sweep (improvement %): {gains}")
@@ -118,11 +105,9 @@ class TestLooperHeadstart:
 
     def test_headstart_matters_for_event_starts(self, benchmark, runner):
         def sweep():
-            with_hs = hmean_improvement(
-                improvements(runner, esp_with(looper_headstart=70)))
-            without = hmean_improvement(
-                improvements(runner, esp_with(looper_headstart=0)))
-            return {"with": with_hs, "without": without}
+            gains = sweep_gains(runner, esp_knob("looper_headstart"),
+                                (70, 0), "looper_headstart")
+            return {"with": gains[70], "without": gains[0]}
 
         gains = benchmark.pedantic(sweep, rounds=1, iterations=1)
         print(f"\nlooper head-start (improvement %): {gains}")
@@ -137,11 +122,8 @@ class TestStallThreshold:
 
     def test_threshold_sweep(self, benchmark, runner, mode):
         def sweep():
-            return {
-                threshold: hmean_improvement(improvements(
-                    runner, esp_with(min_stall_cycles=threshold)))
-                for threshold in (20, 60)
-            }
+            return sweep_gains(runner, esp_knob("min_stall_cycles"),
+                               (20, 60), "min_stall_cycles")
 
         gains = benchmark.pedantic(sweep, rounds=1, iterations=1)
         print(f"\nmin-stall-threshold sweep (improvement %): {gains}")

@@ -5,29 +5,23 @@ less hardware overhead and attains 6% higher performance. Compared to PIF,
 ESP incurs 15x less hardware overhead and attains 10% higher performance."
 """
 
-from conftest import hmean_improvement
-
 from repro.energy import esp_area_budget
 from repro.prefetch import EfetchPrefetcher, PifPrefetcher
 from repro.sim import presets
+from repro.sim.sweep import ParameterSweep
 
 APPS = ("amazon", "bing", "cnn", "pixlr")
-
-
-def _improvement(runner, config):
-    base = {app: runner.run(app, presets.baseline()) for app in APPS}
-    return hmean_improvement({
-        app: runner.run(app, config).improvement_over(base[app])
-        for app in APPS})
+PREFETCHERS = {"EFetch": presets.efetch, "PIF": presets.pif,
+               "ESP + NL": presets.esp_nl}
 
 
 def test_related_prefetcher_comparison(benchmark, runner):
     def compare():
-        return {
-            "EFetch": _improvement(runner, presets.efetch()),
-            "PIF": _improvement(runner, presets.pif()),
-            "ESP + NL": _improvement(runner, presets.esp_nl()),
-        }
+        sweep = ParameterSweep(
+            presets.baseline(), lambda _cfg, label: PREFETCHERS[label](),
+            list(PREFETCHERS), knob="prefetcher")
+        return {point.value: point.hmean_improvement
+                for point in sweep.run(runner, APPS).points}
 
     gains = benchmark.pedantic(compare, rounds=1, iterations=1)
     print(f"\nSection 7 comparison (improvement % over no prefetching): "

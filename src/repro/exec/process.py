@@ -2,9 +2,11 @@
 
 :func:`run_pool` submits a batch of uncached tasks to worker processes
 and hands back whatever did not finish — worker death
-(``BrokenProcessPool``), per-task timeout, memory pressure, a task's own
-error — to the runner's serial retry ladder. Two scheduling rules keep
-that accounting honest:
+(``BrokenProcessPool``), per-task timeout, a task's own error — to the
+runner's serial retry ladder. It is the only way a task runs in a worker
+process: the ladder's timed tries are one-task batches through it too,
+so every lost try is classified once, by the runner's ``_note_*``
+callbacks. Two scheduling rules keep that accounting honest:
 
 * **Deadlines start when the task starts, not when it was queued.**
   Pending futures are polled, each is stamped the first time it is
@@ -42,11 +44,13 @@ DEADLINE_POLL_S = 0.05
 IDLE_POLL_S = 0.25
 
 
-def run_pool(runner, todo, results, progress):
+def run_pool(runner, todo, results, progress, attempt=1):
     """Run ``todo`` (``(key, app, config)`` triples) over
     ``min(runner.jobs, len(todo))`` worker processes, filling
     ``results[key]`` with :class:`~repro.sim.results.SimResult` objects;
-    return the entries the runner's serial retry ladder must finish."""
+    return the entries the runner's serial retry ladder must finish.
+    ``attempt`` numbers the tries in fault-injection tokens: a batch's
+    pool try is attempt 1, a serial retry passes its own number."""
     max_workers = min(runner.jobs, len(todo))
     try:
         pool = runner._pool_cls()(max_workers=max_workers)
@@ -66,8 +70,7 @@ def run_pool(runner, todo, results, progress):
             future = pool.submit(
                 entry, app, config, runner.scale, runner.seed,
                 str(runner.cache_dir), runner.use_disk_cache,
-                worker_log_dir, attempt=1,
-                mem_limit_mb=runner.mem_limit_mb)
+                worker_log_dir, attempt=attempt)
             meta[future] = (index, key, app)
             submitted[future] = time.monotonic()
             pending.add(future)
@@ -103,17 +106,12 @@ def run_pool(runner, todo, results, progress):
                                             fresh=not pool_broken)
                     pool_broken = True
                     continue
-                except MemoryError:
-                    # the worker hit its RSS ceiling and bailed at an
-                    # event boundary; re-run the task at serial
-                    # fan-out where the whole budget is its own
-                    runner._note_memory_pressure(key, app)
-                    continue
                 except Exception as exc:  # noqa: BLE001 — ladder re-raises
-                    # a genuine error inside the task: hand it to the
-                    # serial ladder, which owns the attempt budget and
-                    # the failure bookkeeping, instead of one bad task
-                    # crashing the whole batch
+                    # a genuine error inside the task (a MemoryError
+                    # included): hand it to the serial ladder, which
+                    # owns the attempt budget and the failure
+                    # bookkeeping, instead of one bad task crashing the
+                    # whole batch
                     runner._note_error(key, app, exc)
                     continue
                 result = SimResult.from_dict(payload)

@@ -21,6 +21,7 @@ entries as the original run.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -192,7 +193,7 @@ class GridManifest:
             "scale": float(scale), "seed": int(seed), "created": now,
             "completed": None, "tasks": records,
         })
-        manifest.save()
+        manifest._write()
         return manifest
 
     @classmethod
@@ -232,13 +233,27 @@ class GridManifest:
     # -- updates ---------------------------------------------------------------
 
     def save(self) -> None:
-        """Atomically rewrite the manifest with a fresh content digest."""
+        """Atomically rewrite the manifest with a fresh content digest.
+
+        A rewrite that fails (a volume that filled mid-campaign) leaves
+        the last complete manifest in place: a task it marks done is
+        done, so resuming from it may re-run a task, never skip one.
+        Only the first write, in :meth:`create_or_load`, raises."""
+        with contextlib.suppress(OSError):
+            self._write()
+
+    def _write(self) -> None:
         out = dict(self._data)
         out["digest"] = payload_digest(canonical_json(self._data))
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.parent / (self.path.name + f".{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(out, sort_keys=True))
-        os.replace(tmp, self.path)
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(json.dumps(out, sort_keys=True))
+            os.replace(tmp, self.path)
+        except OSError:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+            raise
 
     def mark(self, key: str, status: str, error: str | None = None,
              save: bool = True) -> None:

@@ -32,9 +32,10 @@ that recording instead of regenerating them.
 Fault tolerance: a worker that dies mid-batch (killed, OOM, crashed
 interpreter) or exceeds the optional per-task timeout
 (``REPRO_TASK_TIMEOUT`` seconds / the ``task_timeout`` argument) breaks
-only its own tasks — the harness re-runs whatever is missing serially in
-the parent (timeout-bounded, with up to ``REPRO_MAX_ATTEMPTS`` tries and
-exponential ``REPRO_RETRY_BACKOFF`` between them), so
+only its own tasks — the harness re-runs whatever is missing through one
+serial retry ladder (up to ``REPRO_MAX_ATTEMPTS`` tries with exponential
+``REPRO_RETRY_BACKOFF`` between them; with a timeout set, each try is a
+one-task :func:`~repro.exec.run_pool` batch, so it stays bounded), so
 :meth:`ExperimentRunner.run_many` always returns one result per requested
 pair, in order. A task that exhausts its attempts is marked failed with a
 reason — in the grid manifest and the run log — and the batch finishes the
@@ -57,12 +58,11 @@ through these same paths for testing.
 
 The task is the recovery unit: a worker lost after its simulation
 began re-runs the task from its first event, which is bit-identical
-because every simulation is a pure function of its key. Resource-pressure
-guards degrade before they fail: ``REPRO_MIN_DISK_MB`` switches the
-runner to no-write-cache mode when the cache volume runs low, and
-``REPRO_MEM_LIMIT_MB`` bounds worker address space and converts a
-would-be OOM kill into a :class:`~repro.resilience.memory.MemoryPressure`
-retry at reduced fan-out.
+because every simulation is a pure function of its key. A worker out of
+memory is one of those losses: a ``MemoryError`` comes back as a task
+error, a kernel OOM kill as a worker death. The disk guard degrades
+before it fails: below ``REPRO_MIN_DISK_MB`` free, or after a cache
+write fails, the runner switches to no-write-cache mode.
 
 Observability: cache hits/misses/corruptions are counted in the
 :mod:`repro.obs.metrics` registry (no-op by default), every simulation
@@ -82,13 +82,12 @@ The per-figure experiment definitions live in :mod:`repro.sim.figures`.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Iterable
 
@@ -104,8 +103,7 @@ from repro.isa.tracefile import (
 from repro.obs.metrics import get_registry
 from repro.obs.progress import ProgressLine
 from repro.obs.runlog import RunLogWriter, default_log_dir
-from repro.resilience import (GridManifest, apply_memory_limit,
-                              check_memory, config_from_dict,
+from repro.resilience import (GridManifest, config_from_dict,
                               config_to_dict, get_fault_plan, quarantine,
                               unwrap_result, wrap_result)
 from repro.sim.config import SimConfig
@@ -122,7 +120,6 @@ _LOG_DIR_ENV = "REPRO_LOG_DIR"
 _MAX_ATTEMPTS_ENV = "REPRO_MAX_ATTEMPTS"
 _BACKOFF_ENV = "REPRO_RETRY_BACKOFF"
 _MIN_DISK_ENV = "REPRO_MIN_DISK_MB"
-_MEM_LIMIT_ENV = "REPRO_MEM_LIMIT_MB"
 
 #: orphaned ``*.tmp`` files older than this are swept on construction
 STALE_TMP_SECONDS = 3600.0
@@ -222,12 +219,6 @@ def default_min_disk_mb() -> int:
     return max(0, _env_or_default(_MIN_DISK_ENV, 50, int))
 
 
-def default_mem_limit_mb() -> int:
-    """Per-worker RSS ceiling (MB) from ``REPRO_MEM_LIMIT_MB``
-    (default 0 = no ceiling)."""
-    return max(0, _env_or_default(_MEM_LIMIT_ENV, 0, int))
-
-
 class GridTaskError(RuntimeError):
     """Grid tasks exhausted their attempts.
 
@@ -274,27 +265,19 @@ def default_cache_dir() -> Path:
 
 def _run_in_worker(app: str, config: SimConfig, scale: float, seed: int,
                    cache_dir: str, use_disk_cache: bool,
-                   log_dir: str | None = None, attempt: int = 1,
-                   mem_limit_mb: int | None = None) -> dict:
+                   log_dir: str | None = None, attempt: int = 1) -> dict:
     """Worker-process entry point: run one simulation, sharing the on-disk
     caches — and the JSONL run log — with the parent (module-level so it
     pickles under fork and spawn alike). ``attempt`` distinguishes retries
     of the same task in fault-injection tokens, so an injected worker kill
     cannot pin a task down across its whole attempt budget.
-
-    Only here — never on the parent's inline path — is the memory guard
-    armed (the rlimit and the per-event RSS check), since it can end the
-    process it runs in.
     """
     get_fault_plan().maybe_kill_worker(
         f"{app}-{config.cache_key()}#{attempt}")
     runner = ExperimentRunner(cache_dir=cache_dir, scale=scale, seed=seed,
                               use_disk_cache=use_disk_cache, jobs=1,
-                              log_dir=log_dir, mem_limit_mb=mem_limit_mb)
-    runner.is_worker = True
+                              log_dir=log_dir)
     runner.backend_label = "process"
-    if runner.mem_limit_mb:
-        apply_memory_limit(runner.mem_limit_mb)
     return runner.run(app, config).to_dict()
 
 
@@ -309,8 +292,7 @@ class ExperimentRunner:
                  log_dir: Path | str | None = None,
                  max_attempts: int | None = None,
                  retry_backoff: float | None = None,
-                 min_disk_mb: int | None = None,
-                 mem_limit_mb: int | None = None) -> None:
+                 min_disk_mb: int | None = None) -> None:
         """``jobs`` (or ``REPRO_JOBS``, default 1) is the worker count
         for grid batches: above 1, uncached tasks fan out over a process
         pool. ``task_timeout`` (or ``REPRO_TASK_TIMEOUT``) bounds each
@@ -319,9 +301,8 @@ class ExperimentRunner:
         schedule before a task is marked failed; ``log_dir`` forces JSONL
         run-logging into that directory (default: on when
         ``REPRO_LOG_DIR`` is set or metrics are enabled, next to the
-        result cache). ``min_disk_mb`` / ``mem_limit_mb``
-        (``REPRO_MIN_DISK_MB`` / ``REPRO_MEM_LIMIT_MB``) set the
-        resource-pressure guards."""
+        result cache). ``min_disk_mb`` (``REPRO_MIN_DISK_MB``) sets the
+        disk guard's free-space floor."""
         self.scale = float(default_scale() if scale is None else scale)
         self.seed = default_seed() if seed is None else seed
         self.cache_dir = Path(cache_dir) if cache_dir is not None \
@@ -339,8 +320,6 @@ class ExperimentRunner:
             if retry_backoff is None else max(0.0, float(retry_backoff))
         self.min_disk_mb = default_min_disk_mb() if min_disk_mb is None \
             else max(0, int(min_disk_mb))
-        self.mem_limit_mb = default_mem_limit_mb() if mem_limit_mb is None \
-            else max(0, int(mem_limit_mb))
         self.metrics = get_registry()
         if log_dir is not None:
             self._runlog = RunLogWriter(log_dir)
@@ -349,20 +328,16 @@ class ExperimentRunner:
             self._runlog = RunLogWriter(default_log_dir(self.cache_dir))
         else:
             self._runlog = RunLogWriter(None)
-        #: parallel tasks completed serially after a worker died/timed out
+        #: tries lost to a timeout or a dead worker, plus tasks requeued
+        #: after a pool break or wedge took their worker
         self.retries = 0
-        #: key -> why its pool try (attempt 1) failed, for the tasks of
-        #: the current batch that a worker ran; the serial ladder resumes
-        #: them at attempt 2
+        #: key -> why its latest try failed, as a ``_note_*`` callback
+        #: recorded it; the serial ladder reads (and clears) it
         self._pool_failures: dict[str, str] = {}
-        #: False once the disk-space preflight trips: caches are still
-        #: read, but nothing new is written (results, traces, manifests)
-        #: — degrade, don't fill the volume
+        #: False once the disk-space preflight trips or a result write
+        #: fails: caches are still read, but nothing new is written
+        #: (results, traces, manifests) — degrade, don't fill the volume
         self.cache_writes_enabled = True
-        #: set by :func:`_run_in_worker` in pool workers; gates the
-        #: per-event memory check, which must never run on the parent's
-        #: inline path
-        self.is_worker = False
         self._memory: dict[str, SimResult] = {}
         self._traces: dict[str, EventTrace | LoadedTrace] = {}
         self._timings = (0.0, 0.0)
@@ -416,24 +391,28 @@ class ExperimentRunner:
             return None
 
     def _check_disk_space(self) -> None:
-        """Disk-space preflight: below ``min_disk_mb`` free, flip the
-        runner into no-write-cache mode (reads still work) with a single
-        warning per process — a nearly-full volume degrades the cache, it
-        must never abort or corrupt a campaign."""
-        global _warned_low_disk
+        """Disk-space preflight: below ``min_disk_mb`` free, stop writing
+        caches — a nearly-full volume degrades the cache, it must never
+        abort or corrupt a campaign."""
         if self.min_disk_mb <= 0:
             return
         free = self._free_disk_mb()
         if free is None or free >= self.min_disk_mb:
             return
+        self._disable_cache_writes(
+            f"only {free:.0f} MB free under {self.cache_dir} (floor "
+            f"{_MIN_DISK_ENV}={self.min_disk_mb})")
+
+    def _disable_cache_writes(self, why: str) -> None:
+        """Flip the runner into no-write-cache mode (reads still work),
+        with a single warning per process."""
+        global _warned_low_disk
         self.cache_writes_enabled = False
         self.metrics.inc("runner.low_disk")
         if not _warned_low_disk:
             _warned_low_disk = True
-            warnings.warn(
-                f"only {free:.0f} MB free under {self.cache_dir} (floor "
-                f"{_MIN_DISK_ENV}={self.min_disk_mb}); cache writes "
-                "disabled for this process", RuntimeWarning, stacklevel=3)
+            warnings.warn(f"{why}; cache writes disabled for this process",
+                          RuntimeWarning, stacklevel=4)
 
     def _sweep_stale_tmp(self) -> None:
         """Remove ``*.tmp`` files orphaned by processes that died between
@@ -570,7 +549,6 @@ class ExperimentRunner:
     def _store(self, key: str, result: SimResult) -> None:
         self._memory[key] = result
         if self.use_disk_cache and self.cache_writes_enabled:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
             path = self.cache_dir / f"{key}.json"
             payload = wrap_result(result.to_dict())
             plan = get_fault_plan()
@@ -584,8 +562,19 @@ class ExperimentRunner:
             # same key each land a complete file, readers never see a
             # partial one (keys contain dots, so no with_suffix here)
             tmp = path.parent / (path.name + f".{os.getpid()}.tmp")
-            tmp.write_text(payload)
-            os.replace(tmp, path)
+            try:
+                self.cache_dir.mkdir(parents=True, exist_ok=True)
+                tmp.write_text(payload)
+                os.replace(tmp, path)
+            except OSError as exc:
+                # a full or failing volume costs the cache, never the
+                # finished simulation
+                with contextlib.suppress(OSError):
+                    tmp.unlink()
+                self._disable_cache_writes(
+                    f"cannot write {path.name} under {self.cache_dir} "
+                    f"({exc})")
+                return
             self.metrics.inc("cache.result.stored")
 
     # -- run logging -----------------------------------------------------------
@@ -647,13 +636,7 @@ class ExperimentRunner:
         t0 = time.perf_counter()
         trace = self.trace(app)
         t1 = time.perf_counter()
-        sim = Simulator(trace, config)
-        if self.is_worker and self.mem_limit_mb:
-            # MemoryPressure raises out of the process it runs in: only a
-            # pool worker checks its RSS ceiling at each event boundary
-            limit = self.mem_limit_mb
-            sim.event_hook = lambda _position: check_memory(limit)
-        result = sim.run(**run_kwargs)
+        result = Simulator(trace, config).run(**run_kwargs)
         # name the result after the preset for readable reports
         result.config = config.name
         self._timings = (t1 - t0, time.perf_counter() - t1)
@@ -676,8 +659,8 @@ class ExperimentRunner:
 
     def _note_timeout(self, key: str, app: str) -> None:
         """One straggler exceeded ``task_timeout`` — measured from its
-        start, never from submission — and was abandoned; the caller
-        re-runs it serially."""
+        start, never from submission — and was abandoned; the serial
+        ladder re-runs it."""
         self._pool_failures[key] = f"timeout after {self.task_timeout}s"
         self.retries += 1
         self.metrics.inc("runner.task_timeouts")
@@ -705,23 +688,14 @@ class ExperimentRunner:
         self._log_retry(key, app, "requeued")
 
     def _note_error(self, key: str, app: str, exc: Exception) -> None:
-        """A task raised ``exc`` inside its worker — a genuine simulation
-        error, not an executor casualty. The pool hands it back so the
+        """A task raised ``exc`` — in its worker or on the ladder's inline
+        path — a genuine simulation error, not an executor casualty. The
         serial ladder, which owns the attempt budget, retries it and (if
         it keeps failing) marks it failed instead of the one exception
         crashing the whole batch."""
         self._pool_failures[key] = f"{type(exc).__name__}: {exc}"
         self.metrics.inc("runner.task_errors")
         self._log_retry(key, app, "error")
-
-    def _note_memory_pressure(self, key: str, app: str) -> None:
-        """A worker hit its RSS ceiling and bailed at an event boundary;
-        the task finishes at serial fan-out where the whole memory
-        budget is its own."""
-        self._pool_failures[key] = "memory pressure"
-        self.retries += 1
-        self.metrics.inc("runner.memory_pressure")
-        self._log_retry(key, app, "memory")
 
     def _note_queue_wait(self, key: str, app: str,
                          seconds: float) -> None:
@@ -773,6 +747,7 @@ class ExperimentRunner:
         progress = ProgressLine(len(unique), label="sims")
         progress.advance(len(results), note="cached")
         missing = todo
+        self._pool_failures = {}
         if todo and self.jobs > 1:
             # record the traces before fanning out so workers load
             # instead of each regenerating the same apps
@@ -781,7 +756,6 @@ class ExperimentRunner:
                     self.trace(app)
             if manifest is not None:
                 manifest.record_attempts([key for key, _, _ in todo])
-            self._pool_failures = {}
             missing = run_pool(self, todo, results, progress)
             if manifest is not None:
                 manifest.mark_many(
@@ -794,7 +768,7 @@ class ExperimentRunner:
                     plan.maybe_interrupt(f"grid:{key}")
                 result, reason = self._complete_serially(
                     key, app, config, manifest,
-                    pool_failure=self._pool_failures.get(key))
+                    pool_failure=self._pool_failures.pop(key, None))
                 if result is not None:
                     results[key] = result
                     if manifest is not None:
@@ -847,6 +821,12 @@ class ExperimentRunner:
         a hung or crashing task is marked failed, never left blocking
         the rest of the grid.
 
+        With a ``task_timeout`` each try is a one-task :func:`run_pool`
+        batch, since a hung simulation cannot be interrupted in-process;
+        without one, or where no pool can be created, it runs inline.
+        Either way the ``_note_*`` callbacks classify a lost try and
+        record its reason in ``_pool_failures``, which the ladder reads.
+
         ``pool_failure`` is why a worker's try at the task failed. That
         try was attempt 1 and counts against :attr:`max_attempts`, so the
         ladder resumes at attempt 2 (and a fault token is never reused).
@@ -864,67 +844,19 @@ class ExperimentRunner:
                     time.sleep(delay)
             if manifest is not None:
                 manifest.record_attempts([key])
-            try:
-                return self._attempt_once(key, app, config, attempt), None
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except FutureTimeoutError:
-                reason = f"timeout after {self.task_timeout}s"
-                self.retries += 1
-                self.metrics.inc("runner.task_timeouts")
-                self._log_retry(key, app, "timeout")
-            except BrokenProcessPool:
-                reason = "worker died"
-                self.retries += 1
-                self.metrics.inc("runner.worker_deaths")
-                self._log_retry(key, app, "worker-died")
-            except MemoryError:
-                reason = "memory pressure"
-                self.retries += 1
-                self.metrics.inc("runner.memory_pressure")
-                self._log_retry(key, app, "memory")
-            except Exception as exc:  # noqa: BLE001 — reported, not lost
-                reason = f"{type(exc).__name__}: {exc}"
-                self.metrics.inc("runner.task_errors")
-                self._log_retry(key, app, "error")
+            done: dict[str, SimResult] = {}
+            if self.task_timeout is not None:
+                run_pool(self, [(key, app, config)], done,
+                         ProgressLine(0, enabled=False), attempt=attempt)
+            if key not in done and key not in self._pool_failures:
+                try:  # untimed, or no pool could be created
+                    done[key] = self.run(app, config)
+                except Exception as exc:  # noqa: BLE001 — reported, not lost
+                    self._note_error(key, app, exc)
+            if key in done:
+                return done[key], None
+            reason = self._pool_failures.pop(key)
         return None, f"{reason} (after {self.max_attempts} attempts)"
-
-    def _attempt_once(self, key: str, app: str, config: SimConfig,
-                      attempt: int) -> SimResult:
-        """One bounded try at a task: inline when no ``task_timeout`` is
-        set, otherwise under a throwaway single-worker pool so the
-        timeout is enforceable (a hung simulation cannot be interrupted
-        in-process). Degrades to the unbounded inline run when pools are
-        unavailable."""
-        if self.task_timeout is None:
-            return self.run(app, config)
-        try:
-            pool = ProcessPoolExecutor(max_workers=1)
-        except (OSError, PermissionError, ValueError):
-            return self.run(app, config)
-        wait_on_exit = True
-        try:
-            worker_log_dir = str(self._runlog.log_dir) \
-                if self._runlog.enabled else None
-            future = pool.submit(
-                _run_in_worker, app, config, self.scale, self.seed,
-                str(self.cache_dir), self.use_disk_cache, worker_log_dir,
-                attempt,
-                # the serial retry runs one task at full fan-in: lifting
-                # the per-worker ceiling here is the "reduced fan-out"
-                # that lets a memory-evicted task finish
-                mem_limit_mb=0)
-            try:
-                payload = future.result(timeout=self.task_timeout)
-            except FutureTimeoutError:
-                wait_on_exit = False
-                future.cancel()
-                raise
-            result = SimResult.from_dict(payload)
-            self._memory[key] = result
-            return result
-        finally:
-            pool.shutdown(wait=wait_on_exit, cancel_futures=True)
 
     def grid(self, configs: Iterable[SimConfig],
              apps: Iterable[str] = APP_NAMES
@@ -969,8 +901,7 @@ class ExperimentRunner:
                 else None,
                 max_attempts=self.max_attempts,
                 retry_backoff=self.retry_backoff,
-                min_disk_mb=self.min_disk_mb,
-                mem_limit_mb=self.mem_limit_mb)
+                min_disk_mb=self.min_disk_mb)
         manifest.reset_failed()
         pairs = [(task["app"], config_from_dict(task["config"]))
                  for task in manifest.tasks_in_order()]

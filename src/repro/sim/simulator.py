@@ -146,10 +146,6 @@ class Simulator:
         self.event_profiles: list = []
         self.collect_event_profile = False
 
-        #: called with the just-finished schedule position at every event
-        #: boundary (the pool worker's memory-pressure check)
-        self.event_hook = None
-
     # -- measurement control ---------------------------------------------------
 
     def _reset_measurement(self) -> None:
@@ -215,7 +211,6 @@ class Simulator:
         cycle = 0.0
         cycle_offset = 0.0
         cur_block = -1
-        event_hook = self.event_hook
 
         for position in range(n_events):
             k = order[position]
@@ -256,8 +251,6 @@ class Simulator:
                     hinted=replay.active if replay is not None else False))
             if wset_i is not None:
                 self.normal_i_working_sets.append(len(wset_i))
-            if event_hook is not None:
-                event_hook(position)
 
         hierarchy = self.hierarchy
         result.cycles = cycle - cycle_offset

@@ -16,6 +16,7 @@ from functools import partial
 import pytest
 
 from repro.obs import metrics as metrics_mod
+from repro.obs.runlog import iter_records
 from repro.resilience import faults
 from repro.sim import presets
 from repro.sim.experiments import ExperimentRunner
@@ -143,6 +144,17 @@ def _lost_after_start_worker(app, config, scale, seed, cache_dir,
                                use_disk_cache, log_dir, attempt, **kwargs)
 
 
+def _out_of_memory_worker(app, config, scale, seed, cache_dir,
+                          use_disk_cache, log_dir=None, attempt=1,
+                          **kwargs):
+    """Worker stand-in whose first attempt at every task runs out of
+    memory (module-level so it pickles under fork and spawn alike)."""
+    if attempt == 1:
+        raise MemoryError(f"{app}: out of memory")
+    return _real_run_in_worker(app, config, scale, seed, cache_dir,
+                               use_disk_cache, log_dir, attempt, **kwargs)
+
+
 class TestMidSimResilience:
     @pytest.mark.parametrize("mode", ["die", "hang"])
     def test_worker_lost_after_start_reruns_bit_identical(
@@ -192,24 +204,25 @@ class TestMidSimResilience:
         counters = recording_metrics.snapshot()["counters"]
         assert counters.get("runner.task_timeouts", 0) == hung
 
-    def test_memory_pressure_evicts_and_recovers(self, tmp_path,
-                                                 monkeypatch,
-                                                 clean_reference):
-        """An absurdly low RSS ceiling evicts every parallel worker; the
-        serial retry lifts the ceiling (the reduced-fan-out recovery) and
-        the grid completes bit-identically."""
+    def test_worker_memory_error_is_retried_bit_identical(
+            self, tmp_path, monkeypatch, clean_reference):
+        """A worker out of memory raises ``MemoryError`` out of its
+        first attempt: the pool hands it back as a task error, the
+        serial ladder re-runs it, and the grid still ends bit-identical
+        to a clean serial run."""
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
         faults.set_fault_plan(faults.FaultPlan())
-        # the RSS ceiling is only armed in process-pool workers (never
-        # in the parent's inline path): pin jobs=2
-        chaos = ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0,
-                                 jobs=2,
-                                 task_timeout=60.0,
-                                 max_attempts=6, retry_backoff=0.01,
-                                 mem_limit_mb=1)
-        got = [r.to_dict() for r in chaos.run_many(_pairs())]
+        monkeypatch.setattr("repro.sim.experiments._run_in_worker",
+                            _out_of_memory_worker)
+        log_dir = tmp_path / "logs"
+        runner = ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0,
+                                  jobs=2, max_attempts=3,
+                                  retry_backoff=0.01, log_dir=log_dir)
+        got = [r.to_dict() for r in runner.run_many(_pairs())]
         assert got == clean_reference
-        assert chaos.retries >= 1
+        reasons = [record["reason"] for record in iter_records(log_dir)
+                   if record.get("kind") == "retry"]
+        assert reasons == ["error"] * len(_pairs())
 
 
 class TestInterruptResume:

@@ -197,9 +197,14 @@ class TestEndToEndEspInternals:
         normal mode or in any pre-executed context."""
         sim = Simulator(tiny_app, presets.esp_nl())
         states = []
-        sim.event_hook = lambda position: states.extend(
-            slot.state for slot in sim.esp.queue.slots
-            if slot is not None and slot.state is not None)
+        begin_event = sim.esp.begin_event
+
+        def watch_slots(*args, **kwargs):
+            states.extend(slot.state for slot in sim.esp.queue.slots
+                          if slot is not None and slot.state is not None)
+            return begin_event(*args, **kwargs)
+
+        sim.esp.begin_event = watch_slots
         sim.run()
         assert sim.esp.i_working_sets == []
         assert sim.normal_i_working_sets == []

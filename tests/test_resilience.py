@@ -1,15 +1,17 @@
 """Crash-safe persistence: envelopes, quarantine, manifests, fault plans
-and the worker memory guard.
+and the disk guard.
 
 The contracts pinned here: every artifact the harness reads back from
 disk is verified, verification failures quarantine (never delete) and
 regenerate, corruption is visible in metrics and the run log, grid
 manifests survive interruption and resume exactly, fault-injection
-decisions replay deterministically from their spec, and a worker over its
-RSS ceiling raises :class:`~repro.resilience.MemoryPressure`.
+decisions replay deterministically from their spec, and a result-cache
+write that fails degrades the cache without failing the simulation.
 """
 
+import errno
 import json
+import pathlib
 import warnings
 
 import pytest
@@ -17,10 +19,10 @@ import pytest
 from repro.obs import metrics as metrics_mod
 from repro.obs.runlog import iter_records
 from repro.resilience import (FaultPlan, GridInterrupt, GridManifest,
-                              IntegrityError, MemoryPressure, check_memory,
-                              config_from_dict, config_to_dict,
-                              payload_digest, quarantine, rss_bytes,
+                              IntegrityError, config_from_dict,
+                              config_to_dict, payload_digest, quarantine,
                               set_fault_plan, unwrap_result, wrap_result)
+from repro.sim import experiments as experiments_mod
 from repro.sim import presets
 from repro.sim.experiments import ExperimentRunner
 from repro.sim.results import SimResult
@@ -424,7 +426,7 @@ class TestRunnerResume:
                                                       monkeypatch):
         """A campaign recorded at another scale resumes through a runner
         rebuilt at that scale, which keeps this runner's log directory
-        and resource guards."""
+        and disk-guard floor."""
         config = presets.baseline()
         set_fault_plan(FaultPlan({"interrupt": 1.0}, seed=0))
         first = ExperimentRunner(cache_dir=tmp_path, scale=0.05, seed=0,
@@ -442,28 +444,50 @@ class TestRunnerResume:
 
         monkeypatch.setattr(ExperimentRunner, "run_many", spy)
         log_dir = tmp_path / "resume-logs"
-        runner = _runner(tmp_path, log_dir=log_dir, mem_limit_mb=777,
-                         min_disk_mb=1)
+        runner = _runner(tmp_path, log_dir=log_dir, min_disk_mb=1)
         manifest, results = runner.resume_grid()
         assert manifest.is_complete
         assert [r.app for r in results] == ["bing"]
         (resumed,) = batch_runners
         assert resumed is not runner and resumed.scale == 0.05
-        assert (resumed.mem_limit_mb, resumed.min_disk_mb) == (777, 1)
+        assert resumed.min_disk_mb == 1
         runs = [(r["app"], r["scale"], r["cache"])
                 for r in iter_records(log_dir) if r.get("kind") == "run"]
         assert runs == [("bing", 0.05, "simulated")]
 
 
-class TestMemoryGuard:
-    def test_zero_limit_is_a_noop(self):
-        check_memory(0)
+class TestDiskGuard:
+    def test_volume_filling_mid_batch_degrades_the_cache(self, tmp_path,
+                                                         monkeypatch):
+        """The volume fills once the batch's manifest and first result
+        have landed: every later temp write fails. That costs the cache,
+        never a finished simulation — the batch returns every result on
+        its only attempt, no temp file is left behind, the manifest on
+        disk stays loadable, and the runner stops writing with one
+        warning."""
+        real_write_text = pathlib.Path.write_text
+        cache = tmp_path / "cache"
 
-    def test_tiny_limit_raises_memory_pressure(self):
-        if rss_bytes() is None:
-            pytest.skip("no resource module on this platform")
-        with pytest.raises(MemoryPressure):
-            check_memory(1)
+        def filling_volume(path, data, *args, **kwargs):
+            if path.name.endswith(".tmp") and cache in path.parents \
+                    and list(cache.glob("*.json")):
+                real_write_text(path, data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write_text(path, data, *args, **kwargs)
 
-    def test_memory_pressure_is_a_memory_error(self):
-        assert issubclass(MemoryPressure, MemoryError)
+        monkeypatch.setattr(pathlib.Path, "write_text", filling_volume)
+        monkeypatch.setattr(experiments_mod, "_warned_low_disk", False)
+        pairs = [("bing", presets.baseline()), ("bing", presets.nl())]
+        runner = _runner(cache, max_attempts=1)
+        with pytest.warns(RuntimeWarning, match="cache writes disabled"):
+            results = runner.run_many(pairs)
+        assert not runner.cache_writes_enabled
+        assert not list(cache.rglob("*.tmp"))
+        assert len(list(cache.glob("*.json"))) == 1
+        [manifest_path] = (cache / "manifests").glob("grid-*.json")
+        assert not GridManifest.load(manifest_path).is_complete
+        reference = ExperimentRunner(
+            cache_dir=tmp_path / "ref", scale=0.1, seed=0,
+            jobs=1).run_many(pairs)
+        assert [r.to_dict() for r in results] \
+            == [r.to_dict() for r in reference]
