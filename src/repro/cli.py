@@ -8,7 +8,9 @@ Commands:
   progress is recorded in a grid manifest, so an interrupted or
   partially-failed campaign picks up where it stopped with
   ``repro run --resume``.
-* ``figures`` — regenerate the paper's tables/figures (cached).
+* ``figures`` — regenerate the paper's tables/figures (cached). Each
+  figure's simulations run as one grid batch, so an interrupted or
+  partially-failed run also resumes with ``repro run --resume``.
 * ``calibrate`` — print the workload-calibration report per app.
 * ``apps`` — list the benchmark application profiles (Figure 6).
 * ``presets`` — list the named machine configurations.
@@ -26,6 +28,7 @@ exits with status 2 and the list of valid ones.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections.abc import Callable
 
@@ -54,16 +57,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.sim import presets
-    from repro.sim.experiments import ExperimentRunner, GridTaskError
-    from repro.workloads import APP_NAMES
+def _campaign(command: Callable[[argparse.Namespace], int]
+              ) -> Callable[[argparse.Namespace], int]:
+    """Wrap a command that runs grid batches: an interrupt exits 130 and
+    failed grid tasks exit 1, each with the hint to continue with
+    ``repro run --resume``, instead of a traceback."""
+    @functools.wraps(command)
+    def run(args: argparse.Namespace) -> int:
+        from repro.sim.experiments import GridTaskError
 
-    runner = ExperimentRunner(scale=args.scale, seed=args.seed,
-                              jobs=args.jobs)
-    if args.resume:
         try:
-            resumed = runner.resume_grid()
+            return command(args)
         except KeyboardInterrupt:
             print("\ninterrupted — continue with `repro run --resume`",
                   file=sys.stderr)
@@ -72,6 +76,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"{exc}\nretry the failed tasks with "
                   f"`repro run --resume`", file=sys.stderr)
             return 1
+
+    return run
+
+
+@_campaign
+def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.sim import presets
+    from repro.sim.experiments import ExperimentRunner
+    from repro.workloads import APP_NAMES
+
+    runner = ExperimentRunner(scale=args.scale, seed=args.seed,
+                              jobs=args.jobs)
+    if args.resume:
+        resumed = runner.resume_grid()
         if resumed is None:
             print("no incomplete campaign to resume")
             return 0
@@ -86,17 +104,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     configs = [presets.by_name(name)
                for name in (args.config or ["baseline", "esp_nl"])]
     pairs = [(app, config) for config in configs for app in apps]
-    try:
-        results = runner.run_many(pairs, label=args.label)
-    except KeyboardInterrupt:
-        print("\ninterrupted — continue with `repro run --resume`",
-              file=sys.stderr)
-        return 130
-    except GridTaskError as exc:
-        print(f"{exc}\nretry the failed tasks with `repro run --resume`",
-              file=sys.stderr)
-        return 1
-    it = iter(results)
+    it = iter(runner.run_many(pairs, label=args.label))
     for config in configs:
         for app in apps:
             result = next(it)
@@ -106,6 +114,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+@_campaign
 def _cmd_figures(args: argparse.Namespace) -> int:
     import json
 

@@ -3,17 +3,19 @@
 A campaign (one ``run_many`` batch — a figure grid, a parameter sweep, a
 ``repro run`` invocation) writes a manifest into
 ``<cache>/manifests/grid-<id>.json`` recording every task's app, full
-configuration, status (``pending`` / ``done`` / ``failed``), attempt
-count and last error. Each update rewrites the file atomically
-(write-to-temp + rename) with an embedded content digest, so an
-interrupted campaign leaves a consistent manifest behind and
-``repro run --resume`` can pick the work back up from exactly where it
-stopped instead of re-planning the grid.
+configuration, status (``pending`` / ``done`` / ``failed``) and failure
+reason. It is written twice per batch, atomically (write-to-temp +
+rename) with an embedded content digest: at batch start, with the
+cached tasks ``done`` and the rest ``pending``, and at batch end, with
+every task ``done`` or ``failed``. Every result is a pure function of
+its key, so the digest-checked result cache is the record of which
+tasks finished; an interrupted campaign keeps its start manifest, and
+``repro run --resume`` re-plans the grid from it with the finished
+tasks served as cache hits.
 
 The grid identity hashes the (app, config digest) pairs plus scale and
 seed — *not* the result-schema digest — so a manifest survives result
-layout changes (its task statuses reset along with the invalidated
-cache entries). Configurations round-trip through
+layout changes. Configurations round-trip through
 :func:`config_to_dict` / :func:`config_from_dict`, preserving
 ``SimConfig.cache_key`` exactly, so resumed tasks hit the same cache
 entries as the original run.
@@ -80,7 +82,8 @@ def config_from_dict(data: dict):
 # -- the manifest --------------------------------------------------------------
 
 class GridManifest:
-    """On-disk record of one campaign's tasks, atomically updated."""
+    """On-disk record of one campaign's tasks, written atomically when
+    its batch starts and when it ends."""
 
     def __init__(self, path: Path | str, data: dict) -> None:
         self.path = Path(path)
@@ -142,56 +145,51 @@ class GridManifest:
         body += f"\n|s{scale!r}|r{seed}"
         return hashlib.sha256(body.encode()).hexdigest()[:12]
 
-    # -- construction ----------------------------------------------------------
+    # -- the batch-start write -------------------------------------------------
 
     @classmethod
-    def create_or_load(cls, directory: Path | str, tasks: list[dict], *,
-                       scale: float, seed: int,
-                       label: str | None = None) -> "GridManifest":
-        """The manifest for this task set: loads and merges an existing
-        one (resume), recreates a corrupt one (after quarantining it),
-        creates a fresh one otherwise.
+    def start(cls, directory: Path | str, tasks: list[dict], *,
+              scale: float, seed: int, label: str | None = None,
+              done=()) -> "GridManifest":
+        """Write the manifest of a batch that is starting: the ``done``
+        keys (cache hits) as ``done``, every other task ``pending``.
 
         ``tasks`` entries carry ``key``, ``app``, ``config_name``,
         ``config_digest`` and ``config`` (a :func:`config_to_dict` dict).
-        Statuses of matching keys survive the merge; keys that no longer
-        match (schema bump invalidated the cache) are replaced as
-        pending.
+        An earlier manifest of the same grid is replaced, not merged: the
+        result cache records which of its tasks finished. One that fails
+        its digest check is quarantined first. This write raises on
+        failure, so a read-only cache gets no manifest.
         """
         directory = Path(directory)
         gid = cls.grid_identity(
             [(t["app"], t["config_digest"]) for t in tasks], scale, seed)
         path = directory / f"grid-{gid}.json"
-        previous: dict[str, dict] = {}
         if path.exists():
             try:
-                previous = cls.load(path).tasks
-            except (IntegrityError, ValueError, KeyError, OSError) as exc:
+                cls.load(path)
+            except (IntegrityError, ValueError, KeyError, OSError):
                 registry = get_registry()
                 registry.inc("cache.corrupt")
                 registry.inc("cache.manifest.corrupt")
                 quarantine(path, directory.parent / "quarantine")
-                del exc
-        now = round(time.time(), 3)
-        records: dict[str, dict] = {}
-        for index, task in enumerate(tasks):
-            key = task["key"]
-            old = previous.get(key)
-            records[key] = {
+        done = set(done)
+        records = {
+            task["key"]: {
                 "index": index,
                 "app": task["app"],
                 "config_name": task["config_name"],
                 "config_digest": task["config_digest"],
                 "config": task["config"],
-                "status": old["status"] if old else "pending",
-                "attempts": old["attempts"] if old else 0,
-                "error": old.get("error") if old else None,
-                "updated": now,
+                "status": "done" if task["key"] in done else "pending",
+                "error": None,
             }
+            for index, task in enumerate(tasks)}
         manifest = cls(path, {
             "version": MANIFEST_VERSION, "grid_id": gid, "label": label,
-            "scale": float(scale), "seed": int(seed), "created": now,
-            "completed": None, "tasks": records,
+            "scale": float(scale), "seed": int(seed),
+            "created": round(time.time(), 3), "completed": None,
+            "tasks": records,
         })
         manifest._write()
         return manifest
@@ -230,19 +228,28 @@ class GridManifest:
                 return manifest
         return None
 
-    # -- updates ---------------------------------------------------------------
+    # -- the batch-end write ---------------------------------------------------
 
-    def save(self) -> None:
-        """Atomically rewrite the manifest with a fresh content digest.
+    def finish(self, failures: dict[str, str]) -> None:
+        """Write the manifest of a batch that has ended: the ``failures``
+        tasks (key -> reason) ``failed``, every other task ``done``, and
+        the completion stamp when nothing failed.
 
-        A rewrite that fails (a volume that filled mid-campaign) leaves
-        the last complete manifest in place: a task it marks done is
-        done, so resuming from it may re-run a task, never skip one.
-        Only the first write, in :meth:`create_or_load`, raises."""
+        A write that fails (a volume that filled mid-campaign) leaves the
+        start manifest in place: it marks done only what was cached when
+        the batch began, so resuming from it may re-run a task, never
+        skip one."""
+        for key, task in self.tasks.items():
+            task["error"] = failures.get(key)
+            task["status"] = "failed" if key in failures else "done"
+        if not failures:
+            self._data["completed"] = round(time.time(), 3)
         with contextlib.suppress(OSError):
             self._write()
 
     def _write(self) -> None:
+        """Atomically rewrite the file (temp + rename) with a fresh
+        content digest."""
         out = dict(self._data)
         out["digest"] = payload_digest(canonical_json(self._data))
         tmp = self.path.parent / (self.path.name + f".{os.getpid()}.tmp")
@@ -254,51 +261,3 @@ class GridManifest:
             with contextlib.suppress(OSError):
                 tmp.unlink()
             raise
-
-    def mark(self, key: str, status: str, error: str | None = None,
-             save: bool = True) -> None:
-        """Set one task's status (unknown keys are ignored)."""
-        task = self.tasks.get(key)
-        if task is None:
-            return
-        task["status"] = status
-        task["error"] = error
-        task["updated"] = round(time.time(), 3)
-        if save:
-            self.save()
-
-    def mark_many(self, keys, status: str) -> None:
-        """Batch :meth:`mark` with a single atomic rewrite."""
-        for key in keys:
-            self.mark(key, status, save=False)
-        self.save()
-
-    def record_attempts(self, keys) -> None:
-        """Bump the attempt counter of every ``keys`` task (one rewrite)."""
-        now = round(time.time(), 3)
-        for key in keys:
-            task = self.tasks.get(key)
-            if task is not None:
-                task["attempts"] += 1
-                task["updated"] = now
-        self.save()
-
-    def reset_failed(self) -> int:
-        """Re-arm failed tasks as pending (fresh attempt budget) for a
-        resume; returns how many were reset."""
-        reset = 0
-        for task in self.tasks.values():
-            if task["status"] == "failed":
-                task["status"] = "pending"
-                task["attempts"] = 0
-                task["error"] = None
-                reset += 1
-        if reset:
-            self.save()
-        return reset
-
-    def finish(self) -> None:
-        """Stamp the completion time once every task is done."""
-        if self.is_complete and self._data.get("completed") is None:
-            self._data["completed"] = round(time.time(), 3)
-            self.save()

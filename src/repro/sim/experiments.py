@@ -15,8 +15,9 @@ the same workload share one cache entry.
 The worker count is the one fan-out setting: ``REPRO_JOBS`` (or the
 ``jobs`` constructor argument / ``--jobs`` CLI flag, default 1). At 1,
 :meth:`ExperimentRunner.run_many` runs every missing (app, config) pair
-in-process; above 1 it hands them to :func:`repro.exec.run_pool`, a
-process pool of ``min(jobs, missing pairs)`` workers that owns
+in-process; above 1, or whenever a task timeout is set, it hands their
+first tries to :func:`repro.exec.run_pool`, one process pool of
+``min(jobs, missing pairs)`` workers per batch that owns
 submission, per-task deadline accounting (measured from task *start*,
 so queue wait behind busy workers is never charged against
 ``REPRO_TASK_TIMEOUT``), straggler cancellation, and the hand-back of
@@ -49,8 +50,10 @@ digest. A failed check quarantines the artifact under
 ``<cache>/quarantine/`` (never a silent delete), bumps the
 ``cache.corrupt`` metric, appends a ``corrupt`` run-log record, and
 regenerates. Every ``run_many`` batch records a grid manifest under
-``<cache>/manifests/`` (atomic rewrite per status change) so an
-interrupted campaign resumes from where it stopped via
+``<cache>/manifests/``, written atomically when the batch starts and
+when it ends. The digest-checked result cache records which tasks
+finished, so an interrupted campaign, which keeps its incomplete start
+manifest, resumes from where it stopped via
 :meth:`ExperimentRunner.resume_grid` / ``repro run --resume``. The
 ``REPRO_FAULTS`` spec (see :mod:`repro.resilience.faults`) injects
 deterministic corruption, torn writes, worker kills and grid interrupts
@@ -612,11 +615,8 @@ class ExperimentRunner:
             "kind": "task-failed", "ts": round(time.time(), 3), "key": key,
             "app": app, "reason": reason, "pid": os.getpid()})
 
-    def run(self, app: str, config: SimConfig, **run_kwargs) -> SimResult:
+    def run(self, app: str, config: SimConfig) -> SimResult:
         """Run (or fetch from cache) one simulation."""
-        if run_kwargs:
-            # non-default run options (e.g. warmup sweeps) bypass the cache
-            return self._simulate(app, config, **run_kwargs)
         key = self._key(app, config)
         cached = self._fetch_cached(key, app, config)
         if cached is not None:
@@ -631,12 +631,11 @@ class ExperimentRunner:
                       trace_load_s, simulate_s, store_s)
         return result
 
-    def _simulate(self, app: str, config: SimConfig,
-                  **run_kwargs) -> SimResult:
+    def _simulate(self, app: str, config: SimConfig) -> SimResult:
         t0 = time.perf_counter()
         trace = self.trace(app)
         t1 = time.perf_counter()
-        result = Simulator(trace, config).run(**run_kwargs)
+        result = Simulator(trace, config).run()
         # name the result after the preset for readable reports
         result.config = config.name
         self._timings = (t1 - t0, time.perf_counter() - t1)
@@ -708,8 +707,10 @@ class ExperimentRunner:
 
     def run_many(self, pairs: Iterable[tuple[str, SimConfig]],
                  label: str | None = None) -> list[SimResult]:
-        """Run every (app, config) pair; with ``self.jobs`` above 1 the
-        uncached ones fan out over a process pool (:func:`run_pool`).
+        """Run every (app, config) pair; with ``self.jobs`` above 1, or a
+        ``task_timeout`` set, the first tries of the uncached ones go
+        through one process pool of ``min(jobs, uncached)`` workers
+        (:func:`run_pool`).
 
         Results come back in ``pairs`` order — always one per pair, even
         when a worker dies or times out mid-batch (its tasks are
@@ -721,12 +722,13 @@ class ExperimentRunner:
         sandboxes), the batch silently degrades to serial execution.
 
         The batch's tasks are recorded in a grid manifest under
-        ``<cache>/manifests/`` whose statuses update atomically as tasks
-        finish, so an interrupted campaign resumes via
-        :meth:`resume_grid`. A task that exhausts ``max_attempts`` is
-        marked failed with its reason instead of blocking the rest; when
-        any task failed, :class:`GridTaskError` is raised after the whole
-        batch has been processed.
+        ``<cache>/manifests/``, written when the batch starts and again
+        when it ends, so an interrupted campaign keeps an incomplete
+        manifest and resumes via :meth:`resume_grid`. A task that
+        exhausts ``max_attempts`` is marked failed with its reason
+        instead of blocking the rest; when any task failed,
+        :class:`GridTaskError` is raised after the whole batch has been
+        processed.
         """
         pairs = list(pairs)
         results: dict[str, SimResult] = {}
@@ -743,23 +745,21 @@ class ExperimentRunner:
             if cached is not None:
                 results[key] = cached
         todo = [entry for entry in unique if entry[0] not in results]
-        manifest = self._grid_manifest(unique, results, label)
+        manifest = self._start_manifest(unique, results, label)
         progress = ProgressLine(len(unique), label="sims")
         progress.advance(len(results), note="cached")
         missing = todo
         self._pool_failures = {}
-        if todo and self.jobs > 1:
-            # record the traces before fanning out so workers load
-            # instead of each regenerating the same apps
-            if self.use_disk_cache:
+        if todo and (self.jobs > 1 or self.task_timeout is not None):
+            # a timeout needs a worker process even at jobs=1 (a hung
+            # simulation cannot be interrupted in-process): one pool
+            # takes every first try. Above jobs=1, record the traces
+            # first so workers load instead of each generating the same
+            # apps; a lone worker records each trace once itself
+            if self.use_disk_cache and self.jobs > 1:
                 for app in {app for _, app, _ in todo}:
                     self.trace(app)
-            if manifest is not None:
-                manifest.record_attempts([key for key, _, _ in todo])
             missing = run_pool(self, todo, results, progress)
-            if manifest is not None:
-                manifest.mark_many(
-                    [key for key, _, _ in todo if key in results], "done")
         plan = get_fault_plan()
         failures: list[tuple[str, str, str]] = []
         try:
@@ -767,32 +767,30 @@ class ExperimentRunner:
                 if plan.active:
                     plan.maybe_interrupt(f"grid:{key}")
                 result, reason = self._complete_serially(
-                    key, app, config, manifest,
+                    key, app, config,
                     pool_failure=self._pool_failures.pop(key, None))
                 if result is not None:
                     results[key] = result
-                    if manifest is not None:
-                        manifest.mark(key, "done")
                     progress.advance(note=app)
                 else:
                     failures.append((key, app, reason))
-                    if manifest is not None:
-                        manifest.mark(key, "failed", error=reason)
                     self._log_task_failed(key, app, reason)
                     progress.advance(note=f"{app} failed")
         finally:
             progress.close()
+        if manifest is not None and self.cache_writes_enabled:
+            manifest.finish({key: reason for key, _, reason in failures})
         if failures:
             raise GridTaskError(failures)
-        if manifest is not None:
-            manifest.finish()
         out = [results[self._key(app, config)] for app, config in pairs]
         assert len(out) == len(pairs)
         return out
 
-    def _grid_manifest(self, unique, results, label) -> GridManifest | None:
-        """The batch's manifest (cached tasks pre-marked done), or None
-        when the disk cache is off or the manifest cannot be written."""
+    def _start_manifest(self, unique, results,
+                        label) -> GridManifest | None:
+        """Write the batch's start manifest (cached tasks done), or
+        return None when the disk cache is off or the manifest cannot be
+        written."""
         if not self.use_disk_cache or not self.cache_writes_enabled \
                 or not unique:
             return None
@@ -801,18 +799,13 @@ class ExperimentRunner:
                   "config": config_to_dict(config)}
                  for key, app, config in unique]
         try:
-            manifest = GridManifest.create_or_load(
+            return GridManifest.start(
                 self.manifest_dir, tasks, scale=self.scale,
-                seed=self.seed, label=label)
+                seed=self.seed, label=label, done=results.keys())
         except OSError:
             return None  # read-only cache: the campaign isn't resumable
-        done = [key for key, _, _ in unique if key in results]
-        if done:
-            manifest.mark_many(done, "done")
-        return manifest
 
     def _complete_serially(self, key: str, app: str, config: SimConfig,
-                           manifest: GridManifest | None,
                            pool_failure: str | None = None
                            ) -> tuple[SimResult | None, str | None]:
         """Finish one task in the parent with attempt accounting and
@@ -842,8 +835,6 @@ class ExperimentRunner:
                                          key, cap=MAX_BACKOFF_SECONDS)
                 if delay > 0:
                     time.sleep(delay)
-            if manifest is not None:
-                manifest.record_attempts([key])
             done: dict[str, SimResult] = {}
             if self.task_timeout is not None:
                 run_pool(self, [(key, app, config)], done,
@@ -875,16 +866,16 @@ class ExperimentRunner:
     def resume_grid(self) -> tuple[GridManifest, list[SimResult]] | None:
         """Resume the most recent incomplete campaign in this cache.
 
-        Loads the newest unfinished grid manifest, re-arms its failed
-        tasks with a fresh attempt budget, rebuilds the (app, config)
-        pairs from the recorded configurations — they round-trip through
-        :func:`repro.resilience.config_from_dict`, so resumed tasks hit
-        the same cache keys — and re-runs the grid (done tasks are cache
-        hits, only pending/failed work executes). Returns the refreshed
-        manifest and the full, ordered result list, or ``None`` when no
-        incomplete campaign exists. A manifest recorded at a different
-        scale/seed is resumed at *its* scale/seed, not this runner's,
-        with every other setting of this runner.
+        Loads the newest unfinished grid manifest, rebuilds the (app,
+        config) pairs from the recorded configurations — they round-trip
+        through :func:`repro.resilience.config_from_dict`, so resumed
+        tasks hit the same cache keys — and re-runs the grid as a new
+        batch: every task that finished is a cache hit, and the rest
+        (failed ones included) get a fresh attempt budget. Returns the
+        refreshed manifest and the full, ordered result list, or
+        ``None`` when no incomplete campaign exists. A manifest recorded
+        at a different scale/seed is resumed at *its* scale/seed, not
+        this runner's, with every other setting of this runner.
         """
         manifest = GridManifest.latest_incomplete(self.manifest_dir)
         if manifest is None:
@@ -902,7 +893,6 @@ class ExperimentRunner:
                 max_attempts=self.max_attempts,
                 retry_backoff=self.retry_backoff,
                 min_disk_mb=self.min_disk_mb)
-        manifest.reset_failed()
         pairs = [(task["app"], config_from_dict(task["config"]))
                  for task in manifest.tasks_in_order()]
         results = runner.run_many(pairs, label=manifest.label)

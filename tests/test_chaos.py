@@ -236,9 +236,10 @@ class TestInterruptResume:
         results = None
         for _ in range(40):  # the storm is finite: draws advance
             # interrupts fire on the serial completion path: pin jobs=1
-            # so an ambient REPRO_JOBS can't bypass them
+            # and no timeout so an ambient REPRO_JOBS or
+            # REPRO_TASK_TIMEOUT can't send the tasks to a pool
             runner = ExperimentRunner(cache_dir=tmp_path, scale=0.1,
-                                      seed=0, jobs=1)
+                                      seed=0, jobs=1, task_timeout=0)
             try:
                 results = runner.run_many(_pairs(), label="chaos")
                 break

@@ -123,6 +123,26 @@ class TestCommands:
         figure = json.loads(capsys.readouterr().out)
         assert figure["figure_id"] == "Figure 7"
 
+    def test_figures_failed_task_prints_the_resume_hint(
+            self, tmp_path, monkeypatch, capsys):
+        from repro.sim.experiments import ExperimentRunner
+
+        def poisoned(self, app, config):
+            raise RuntimeError("injected simulation bug")
+
+        # the poisoned _simulate only exists in this process: pin jobs=1
+        # and no timeout so no task goes to a pool worker
+        monkeypatch.setattr(ExperimentRunner, "_simulate", poisoned)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_SCALE", "0.1")
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        monkeypatch.setenv("REPRO_MAX_ATTEMPTS", "1")
+        monkeypatch.delenv("REPRO_TASK_TIMEOUT", raising=False)
+        assert main(["figures", "figure14"]) == 1
+        err = capsys.readouterr().err
+        assert "injected simulation bug" in err
+        assert "`repro run --resume`" in err
+
 
 class TestStats:
     def _seed_log(self, log_dir):

@@ -64,12 +64,6 @@ class TestRunner:
         r = fresh.run("pixlr", SimConfig())
         assert r.instructions > 0
 
-    def test_run_kwargs_bypass_cache(self, runner):
-        a = runner.run("pixlr", SimConfig())
-        b = runner.run("pixlr", SimConfig(), warmup_fraction=0.12)
-        assert b is not a  # not served from the cache
-        assert b.cycles == a.cycles  # but the same deterministic run
-
     def test_clear_cache(self, runner, tmp_path):
         runner.run("pixlr", SimConfig())
         runner.clear_cache()

@@ -205,8 +205,33 @@ class TestFaultTolerance:
         assert manifest is not None
         task = manifest.tasks[failed_key]
         assert task["status"] == "failed"
-        assert task["attempts"] >= 2
-        assert "timeout" in task["error"]
+        assert task["error"] == reason
+        assert "timeout" in reason and "after 2 attempts" in reason
+
+    def test_timed_serial_batch_shares_one_pool(self, tmp_path,
+                                                monkeypatch):
+        """With a timeout at jobs=1, the first tries of every uncached
+        task go through one width-1 pool, not one pool per task."""
+        widths = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                widths.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(ExperimentRunner, "_pool_cls",
+                            lambda self: CountingPool)
+        runner = ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0,
+                                  jobs=1, task_timeout=60)
+        pairs = [(app, presets.by_name(name))
+                 for name in CONFIGS for app in APPS]
+        results = runner.run_many(pairs)
+        assert widths == [1]
+        reference = ExperimentRunner(cache_dir=tmp_path / "ref",
+                                     scale=0.1, seed=0,
+                                     jobs=1).run_many(pairs)
+        assert ([r.to_dict() for r in results]
+                == [r.to_dict() for r in reference])
 
     def test_serial_timeout_failure_does_not_block_other_tasks(
             self, tmp_path, monkeypatch):

@@ -197,7 +197,7 @@ def _tasks(entries):
 
 class TestGridManifest:
     def test_save_load_roundtrip(self, tmp_path):
-        manifest = GridManifest.create_or_load(
+        manifest = GridManifest.start(
             tmp_path, _tasks([("bing", "d1"), ("pixlr", "d2")]),
             scale=0.5, seed=3, label="unit")
         loaded = GridManifest.load(manifest.path)
@@ -207,33 +207,56 @@ class TestGridManifest:
         assert loaded.counts() == {"pending": 2}
         assert not loaded.is_complete
 
-    def test_statuses_survive_reload_merge(self, tmp_path):
+    def test_start_marks_cached_tasks_done(self, tmp_path):
+        manifest = GridManifest.start(
+            tmp_path, _tasks([("bing", "d1"), ("pixlr", "d2")]),
+            scale=1.0, seed=0, done={"k-bing-d1"})
+        loaded = GridManifest.load(manifest.path)
+        assert loaded.tasks["k-bing-d1"]["status"] == "done"
+        assert loaded.tasks["k-pixlr-d2"]["status"] == "pending"
+        assert not loaded.is_complete
+
+    def test_finish_records_failures(self, tmp_path):
+        manifest = GridManifest.start(
+            tmp_path, _tasks([("bing", "d1"), ("pixlr", "d2")]),
+            scale=1.0, seed=0)
+        manifest.finish({"k-pixlr-d2": "boom (after 3 attempts)"})
+        loaded = GridManifest.load(manifest.path)
+        assert loaded.counts() == {"done": 1, "failed": 1}
+        assert loaded.tasks["k-pixlr-d2"]["error"] \
+            == "boom (after 3 attempts)"
+        assert loaded.tasks["k-bing-d1"]["error"] is None
+        assert loaded.completed_at is None
+        assert GridManifest.latest_incomplete(tmp_path).grid_id \
+            == manifest.grid_id
+
+    def test_restart_replaces_an_earlier_manifest(self, tmp_path):
         tasks = _tasks([("bing", "d1"), ("pixlr", "d2")])
-        manifest = GridManifest.create_or_load(tmp_path, tasks,
-                                               scale=1.0, seed=0)
-        manifest.mark("k-bing-d1", "done")
-        manifest.mark("k-pixlr-d2", "failed", error="boom")
-        again = GridManifest.create_or_load(tmp_path, tasks,
-                                            scale=1.0, seed=0)
-        assert again.path == manifest.path
-        assert again.tasks["k-bing-d1"]["status"] == "done"
-        assert again.tasks["k-pixlr-d2"]["status"] == "failed"
-        assert again.tasks["k-pixlr-d2"]["error"] == "boom"
+        first = GridManifest.start(tmp_path, tasks, scale=1.0, seed=0)
+        first.finish({"k-pixlr-d2": "boom"})
+        again = GridManifest.start(tmp_path, tasks, scale=1.0, seed=0,
+                                   done={"k-bing-d1"})
+        assert again.path == first.path
+        loaded = GridManifest.load(again.path)
+        assert loaded.counts() == {"done": 1, "pending": 1}
+        assert loaded.tasks["k-pixlr-d2"]["error"] is None
+        assert list(tmp_path.glob("grid-*.json")) == [again.path]
 
     def test_tampered_manifest_rejected_then_recreated(self, tmp_path):
         tasks = _tasks([("bing", "d1")])
-        manifest = GridManifest.create_or_load(tmp_path / "manifests",
-                                               tasks, scale=1.0, seed=0)
-        manifest.mark("k-bing-d1", "done")
+        manifest = GridManifest.start(tmp_path / "manifests",
+                                      tasks, scale=1.0, seed=0)
+        manifest.finish({})
         body = manifest.path.read_text().replace("done", "dead")
         manifest.path.write_text(body)
         with pytest.raises(IntegrityError):
             GridManifest.load(manifest.path)
-        fresh = GridManifest.create_or_load(tmp_path / "manifests", tasks,
-                                            scale=1.0, seed=0)
-        # the tampered file was quarantined, not trusted: statuses reset
+        fresh = GridManifest.start(tmp_path / "manifests", tasks,
+                                   scale=1.0, seed=0)
+        # the tampered file was quarantined, not trusted or deleted
         assert fresh.tasks["k-bing-d1"]["status"] == "pending"
         assert list((tmp_path / "quarantine").glob("*.quarantined"))
+        assert GridManifest.load(fresh.path).grid_id == fresh.grid_id
 
     def test_grid_identity_order_independent_but_keyed(self):
         a = GridManifest.grid_identity([("bing", "d1"), ("pixlr", "d2")],
@@ -247,29 +270,16 @@ class TestGridManifest:
             [("bing", "d1"), ("pixlr", "d2")], 1.0, 7)
 
     def test_latest_incomplete_skips_finished_grids(self, tmp_path):
-        done = GridManifest.create_or_load(
+        done = GridManifest.start(
             tmp_path, _tasks([("bing", "d1")]), scale=1.0, seed=0)
-        done.mark("k-bing-d1", "done")
-        done.finish()
+        done.finish({})
         assert done.completed_at is not None
-        pending = GridManifest.create_or_load(
+        pending = GridManifest.start(
             tmp_path, _tasks([("pixlr", "d9")]), scale=1.0, seed=0)
         found = GridManifest.latest_incomplete(tmp_path)
         assert found is not None
         assert found.grid_id == pending.grid_id
         assert GridManifest.latest_incomplete(tmp_path / "absent") is None
-
-    def test_reset_failed_rearms_attempt_budget(self, tmp_path):
-        manifest = GridManifest.create_or_load(
-            tmp_path, _tasks([("bing", "d1"), ("pixlr", "d2")]),
-            scale=1.0, seed=0)
-        manifest.record_attempts(["k-bing-d1"] * 3)
-        manifest.mark("k-bing-d1", "failed", error="timeout")
-        assert manifest.reset_failed() == 1
-        task = GridManifest.load(manifest.path).tasks["k-bing-d1"]
-        assert task["status"] == "pending"
-        assert task["attempts"] == 0
-        assert task["error"] is None
 
 
 @pytest.fixture
@@ -281,9 +291,12 @@ def recording_metrics():
 
 
 def _runner(tmp_path, **kwargs):
+    # jobs=1 and no timeout keep every task on the in-process serial
+    # path, where injected interrupts fire, whatever REPRO_JOBS or
+    # REPRO_TASK_TIMEOUT say
     kwargs.setdefault("log_dir", tmp_path / "logs")
     return ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0, jobs=1,
-                            **kwargs)
+                            task_timeout=0, **kwargs)
 
 
 class TestRunnerCorruptionRecovery:
@@ -372,7 +385,64 @@ class TestRunnerCorruptionRecovery:
         assert not (tmp_path / "quarantine").exists()
 
 
+def _six_pairs():
+    return [(app, config) for config in
+            (presets.baseline(), presets.nl(), presets.nl_s())
+            for app in ("bing", "pixlr")]
+
+
 class TestRunnerResume:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_clean_batch_writes_its_manifest_twice(self, tmp_path,
+                                                   monkeypatch, jobs):
+        """One write when the batch starts and one when it ends, at any
+        batch size and worker count."""
+        writes = []
+        original_write = GridManifest._write
+
+        def spy(self):
+            writes.append(self.counts())
+            original_write(self)
+
+        monkeypatch.setattr(GridManifest, "_write", spy)
+        runner = ExperimentRunner(cache_dir=tmp_path, scale=0.05, seed=0,
+                                  jobs=jobs, task_timeout=0)
+        runner.run_many(_six_pairs())
+        assert writes == [{"pending": 6}, {"done": 6}]
+
+    def test_resume_after_interrupt_simulates_only_the_rest(self,
+                                                            tmp_path):
+        """An interrupt after k finished tasks leaves the start manifest;
+        the resume serves those k from the result cache and simulates
+        only the rest."""
+        pairs = _six_pairs()
+        # at seed 5 the first interrupt fires before the fourth task
+        set_fault_plan(FaultPlan({"interrupt": 0.3}, seed=5))
+        first_logs = tmp_path / "first-logs"
+        with pytest.raises(KeyboardInterrupt):
+            _runner(tmp_path, log_dir=first_logs).run_many(pairs)
+        set_fault_plan(FaultPlan())
+        finished = {r["key"] for r in iter_records(first_logs)
+                    if r.get("kind") == "run"}
+        assert 0 < len(finished) < len(pairs)
+
+        resume_logs = tmp_path / "resume-logs"
+        manifest, results = _runner(
+            tmp_path, log_dir=resume_logs).resume_grid()
+        assert manifest.is_complete
+        runs = {r["key"]: r["cache"] for r in iter_records(resume_logs)
+                if r.get("kind") == "run"}
+        assert {key for key, cache in runs.items() if cache == "disk"} \
+            == finished
+        assert sorted(cache for key, cache in runs.items()
+                      if key not in finished) \
+            == ["simulated"] * (len(pairs) - len(finished))
+        reference = ExperimentRunner(
+            cache_dir=tmp_path / "ref", scale=0.1, seed=0,
+            jobs=1).run_many(pairs)
+        assert [r.to_dict() for r in results] \
+            == [r.to_dict() for r in reference]
+
     def test_interrupted_grid_resumes_to_identical_results(self, tmp_path):
         config = presets.baseline()
         pairs = [("bing", config), ("pixlr", config)]
@@ -430,7 +500,8 @@ class TestRunnerResume:
         config = presets.baseline()
         set_fault_plan(FaultPlan({"interrupt": 1.0}, seed=0))
         first = ExperimentRunner(cache_dir=tmp_path, scale=0.05, seed=0,
-                                 jobs=1, log_dir=tmp_path / "first-logs")
+                                 jobs=1, task_timeout=0,
+                                 log_dir=tmp_path / "first-logs")
         with pytest.raises(KeyboardInterrupt):
             first.run_many([("bing", config)], label="small")
         set_fault_plan(FaultPlan())
