@@ -2,8 +2,9 @@
 
 Each benchmark regenerates one of the paper's tables/figures. Simulation
 results are cached on disk (``.repro_cache/`` at the repo root, override
-with ``REPRO_CACHE_DIR``), so figures sharing runs — e.g. the ``baseline``
-and ``ESP + NL`` columns appear in Figures 9, 11 and 14 — do the work once.
+with ``REPRO_CACHE_DIR``), so figures sharing runs — e.g. ``baseline`` is
+in Figures 9, 10, 11a and 11b, and the ``ESP + NL`` key in Figures 9, 10,
+12, 14 and the headline — do the work once.
 
 Workload size scales with ``REPRO_SCALE`` (default 1.0 ≈ 1/1000 of the
 paper's trace sizes). Figure text is echoed to stdout (run with ``-s`` or

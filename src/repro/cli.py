@@ -8,9 +8,10 @@ Commands:
   progress is recorded in a grid manifest, so an interrupted or
   partially-failed campaign picks up where it stopped with
   ``repro run --resume``.
-* ``figures`` — regenerate the paper's tables/figures (cached). Each
-  figure's simulations run as one grid batch, so an interrupted or
-  partially-failed run also resumes with ``repro run --resume``.
+* ``figures`` — regenerate the paper's tables/figures (cached). The
+  simulations of every requested figure run first as one grid batch
+  labelled ``figures``, so an interrupted or partially-failed run also
+  resumes with ``repro run --resume``.
 * ``calibrate`` — print the workload-calibration report per app.
 * ``apps`` — list the benchmark application profiles (Figure 6).
 * ``presets`` — list the named machine configurations.
@@ -103,11 +104,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     apps = args.apps or list(APP_NAMES)
     configs = [presets.by_name(name)
                for name in (args.config or ["baseline", "esp_nl"])]
-    pairs = [(app, config) for config in configs for app in apps]
-    it = iter(runner.run_many(pairs, label=args.label))
+    grid = runner.grid(configs, apps, label=args.label)
     for config in configs:
         for app in apps:
-            result = next(it)
+            result = grid[config.name][app]
             print(f"{config.name:<28} {app:<10} "
                   f"IPC {result.ipc:>7.3f}  "
                   f"cycles {result.cycles:>14,.0f}")
@@ -119,10 +119,12 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     import json
 
     from repro.sim.experiments import ExperimentRunner
-    from repro.sim.figures import ALL_FIGURES
+    from repro.sim.figures import ALL_FIGURES, plan
 
     runner = ExperimentRunner(jobs=args.jobs)
-    for name in args.names or list(ALL_FIGURES):
+    names = args.names or list(ALL_FIGURES)
+    runner.run_many(plan(names), label="figures")
+    for name in names:
         figure = ALL_FIGURES[name](runner)
         if args.json:
             print(json.dumps(figure.to_dict(), indent=2))

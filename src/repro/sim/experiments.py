@@ -1,12 +1,13 @@
 """Experiment harness: runs (app × configuration) grids with result caching.
 
 Every figure in the paper is a grid of simulation runs over the same seven
-applications. Several figures share underlying runs (e.g. the ``baseline``
-and ``esp_nl`` columns appear in Figures 9, 11 and 14), so the harness
-caches finished :class:`~repro.sim.results.SimResult` objects on disk keyed
-by ``(app, config digest, scale, seed, result-schema digest)`` —
-regenerating one figure is cheap once its runs exist, and the full suite
-shares work. The schema digest makes entries written by an older
+applications. Several figures share underlying runs (e.g. ``baseline`` is
+in Figures 9, 10, 11a and 11b, and the ``esp_nl`` key in Figures 9, 10, 12,
+14 and the headline; see ``repro.sim.figures.FIGURE_PRESETS``), so the
+harness caches finished :class:`~repro.sim.results.SimResult` objects on
+disk keyed by ``(app, config digest, scale, seed, result-schema digest)``
+— regenerating one figure is cheap once its runs exist, and the full
+suite shares work. The schema digest makes entries written by an older
 ``SimResult`` layout self-invalidate instead of deserialising wrongly.
 The scale component of keys and trace filenames is normalised through
 ``repr(float(scale))`` so ``scale=1`` (int) and ``scale=1.0`` (float) of
@@ -850,18 +851,18 @@ class ExperimentRunner:
         return None, f"{reason} (after {self.max_attempts} attempts)"
 
     def grid(self, configs: Iterable[SimConfig],
-             apps: Iterable[str] = APP_NAMES
-             ) -> dict[str, dict[str, SimResult]]:
-        """Run a full (config × app) grid: ``{config.name: {app: result}}``."""
+             apps: Iterable[str] = APP_NAMES,
+             label: str | None = None) -> dict[str, dict[str, SimResult]]:
+        """Run a full (config × app) grid as one :meth:`run_many` batch
+        (``label`` names its manifest): ``{config.name: {app: result}}``,
+        in ``configs`` order."""
         configs = list(configs)
         apps = list(apps)
-        flat = self.run_many(
-            [(app, config) for config in configs for app in apps])
-        out: dict[str, dict[str, SimResult]] = {}
-        it = iter(flat)
-        for config in configs:
-            out[config.name] = {app: next(it) for app in apps}
-        return out
+        it = iter(self.run_many(
+            [(app, config) for config in configs for app in apps],
+            label=label))
+        return {config.name: {app: next(it) for app in apps}
+                for config in configs}
 
     def resume_grid(self) -> tuple[GridManifest, list[SimResult]] | None:
         """Resume the most recent incomplete campaign in this cache.

@@ -1,10 +1,13 @@
 """One entry point per table/figure in the paper's evaluation (Section 6).
 
-Each ``figure*`` function runs the simulations it needs (through a shared
-:class:`~repro.sim.experiments.ExperimentRunner`, so common runs are cached)
-and returns a :class:`FigureResult` whose ``series`` maps
-``configuration -> app -> value``, mirroring the paper's bar charts. The
-``format()`` output is what ``EXPERIMENTS.md`` records.
+Each grid figure declares the presets it simulates in
+:data:`FIGURE_PRESETS`, runs them as one grid batch through a shared
+:class:`~repro.sim.experiments.ExperimentRunner` (so common runs are
+cached) and returns a :class:`FigureResult` whose ``series`` maps
+``configuration -> app -> value``, mirroring the paper's bar charts.
+:func:`plan` gives the pairs of several figures, so a caller can run them
+all as one batch before assembling any. The ``format()`` output is what
+``EXPERIMENTS.md`` records.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from repro.energy import format_area_table
 from repro.sim import presets
 from repro.sim.config import EspConfig, SimConfig
 from repro.sim.experiments import ExperimentRunner
+from repro.sim.results import SimResult
 from repro.sim.simulator import Simulator
 from repro.workloads import APP_NAMES, APPS
 
@@ -62,30 +66,61 @@ def _apps(apps):
     return tuple(apps) if apps is not None else tuple(APP_NAMES)
 
 
-def _prewarm(runner: ExperimentRunner, config_names: list[str],
-             apps) -> None:
-    """Fan every (app, config) pair the figure needs over the runner's
-    worker processes; the figure's own ``runner.run`` calls then hit the
-    warmed cache."""
-    configs = [presets.by_name(name) for name in config_names]
-    runner.run_many([(app, cfg) for cfg in configs for app in apps])
+#: The presets each grid figure simulates, baseline first. A figure is an
+#: (app x preset) grid, so these names are the whole of its simulation
+#: work: :func:`plan` turns several figures' names into one batch.
+#: ``figure13`` instruments a :class:`Simulator` directly and is not here.
+FIGURE_PRESETS = {
+    "figure3": ("potential_baseline", "perfect_l1d", "perfect_branch",
+                "perfect_l1i", "perfect_all"),
+    "figure9": ("baseline", "nl", "nl_s", "runahead", "runahead_nl", "esp",
+                "esp_nl"),
+    "figure10": ("baseline", "naive_esp", "naive_esp_nl", "esp_i_nl",
+                 "esp_ib_nl", "esp_ibd_nl"),
+    "figure11a": ("baseline", "nl_i", "esp_i", "esp_i_nl_i",
+                  "ideal_esp_i_nl_i"),
+    "figure11b": ("baseline", "nl_d", "runahead_d", "runahead_d_nl_d",
+                  "esp_d", "esp_d_nl_d", "ideal_esp_d_nl_d"),
+    "figure12": ("bp_base", "bp_no_extra_hw", "bp_separate_context",
+                 "bp_separate_tables", "bp_esp"),
+    "figure14": ("nl", "esp_nl"),
+    "headline": ("nl_s", "esp_nl", "runahead_nl"),
+}
 
 
-def _improvements(runner: ExperimentRunner, baseline_name: str,
-                  config_names: list[str],
-                  apps=None) -> dict[str, dict[str, float]]:
-    apps = _apps(apps)
-    _prewarm(runner, [baseline_name] + list(config_names), apps)
-    base_cfg = presets.by_name(baseline_name)
-    series: dict[str, dict[str, float]] = {}
-    base = {app: runner.run(app, base_cfg) for app in apps}
-    for name in config_names:
-        cfg = presets.by_name(name)
-        series[cfg.name] = {
-            app: runner.run(app, cfg).improvement_over(base[app])
-            for app in apps
-        }
-    return series
+def plan(names, apps=None) -> list[tuple[str, SimConfig]]:
+    """The (app, config) pairs the figures ``names`` simulate, each preset
+    once: run them as one ``run_many`` batch and every figure then
+    assembles from the cache. Names without presets contribute nothing."""
+    wanted = dict.fromkeys(preset for name in names
+                           for preset in FIGURE_PRESETS.get(name, ()))
+    return [(app, presets.by_name(preset))
+            for preset in wanted for app in _apps(apps)]
+
+
+def _grid(runner: ExperimentRunner, name: str,
+          apps) -> dict[str, dict[str, SimResult]]:
+    """Figure ``name``'s grid, ``{config name: {app: result}}`` in
+    :data:`FIGURE_PRESETS` order, as one batch labelled ``name``."""
+    return runner.grid([presets.by_name(preset)
+                        for preset in FIGURE_PRESETS[name]],
+                       _apps(apps), label=name)
+
+
+def _improvements(grid) -> dict[str, dict[str, float]]:
+    """Every row after the first as % improvement over the first."""
+    (_, base), *rows = grid.items()
+    return {label: {app: result.improvement_over(base[app])
+                    for app, result in row.items()}
+            for label, row in rows}
+
+
+def _metric(grid, metric) -> dict[str, dict[str, float]]:
+    """``metric(result)`` for every cell; the ``baseline`` row is
+    labelled ``base``."""
+    return {"base" if label == "baseline" else label:
+            {app: metric(result) for app, result in row.items()}
+            for label, row in grid.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +128,7 @@ def _improvements(runner: ExperimentRunner, baseline_name: str,
 
 def figure3(runner: ExperimentRunner, apps=None) -> FigureResult:
     """Speedup from perfect L1-D / branch predictor / L1-I / everything."""
-    series = _improvements(runner, "potential_baseline",
-                           ["perfect_l1d", "perfect_branch", "perfect_l1i",
-                            "perfect_all"], apps=apps)
+    series = _improvements(_grid(runner, "figure3", apps))
     return FigureResult(
         "Figure 3", "Performance potential in web applications",
         series=series,
@@ -163,12 +196,9 @@ def figure8() -> FigureResult:
 # ---------------------------------------------------------------------------
 # Figure 9: headline performance comparison
 
-FIG9_CONFIGS = ["nl", "nl_s", "runahead", "runahead_nl", "esp", "esp_nl"]
-
-
 def figure9(runner: ExperimentRunner, apps=None) -> FigureResult:
     """ESP vs next-line vs runahead, normalised to no prefetching."""
-    series = _improvements(runner, "baseline", FIG9_CONFIGS, apps=apps)
+    series = _improvements(_grid(runner, "figure9", apps))
     return FigureResult(
         "Figure 9", "Performance of ESP, Next-Line and Runahead",
         series=series,
@@ -179,13 +209,9 @@ def figure9(runner: ExperimentRunner, apps=None) -> FigureResult:
 # ---------------------------------------------------------------------------
 # Figure 10: sources of performance
 
-FIG10_CONFIGS = ["naive_esp", "naive_esp_nl", "esp_i_nl", "esp_ib_nl",
-                 "esp_ibd_nl"]
-
-
 def figure10(runner: ExperimentRunner, apps=None) -> FigureResult:
     """Naive ESP vs the staged ESP-I / ESP-I,B / ESP-I,B,D designs."""
-    series = _improvements(runner, "baseline", FIG10_CONFIGS, apps=apps)
+    series = _improvements(_grid(runner, "figure10", apps))
     return FigureResult(
         "Figure 10", "Sources of performance in ESP",
         series=series,
@@ -198,15 +224,8 @@ def figure10(runner: ExperimentRunner, apps=None) -> FigureResult:
 
 def figure11a(runner: ExperimentRunner, apps=None) -> FigureResult:
     """L1-I MPKI across I-side configurations."""
-    apps = _apps(apps)
-    names = ["baseline", "nl_i", "esp_i", "esp_i_nl_i", "ideal_esp_i_nl_i"]
-    _prewarm(runner, names, apps)
-    series: dict[str, dict[str, float]] = {}
-    for name in names:
-        cfg = presets.by_name(name)
-        label = "base" if name == "baseline" else cfg.name
-        series[label] = {app: runner.run(app, cfg).l1i_mpki
-                         for app in apps}
+    series = _metric(_grid(runner, "figure11a", apps),
+                     lambda result: result.l1i_mpki)
     return FigureResult(
         "Figure 11a", "L1 I-cache misses per kilo-instruction",
         series=series, unit="MPKI", summary="mean",
@@ -219,18 +238,8 @@ def figure11a(runner: ExperimentRunner, apps=None) -> FigureResult:
 
 def figure11b(runner: ExperimentRunner, apps=None) -> FigureResult:
     """L1-D miss rate across D-side configurations."""
-    apps = _apps(apps)
-    names = ["baseline", "nl_d", "runahead_d", "runahead_d_nl_d", "esp_d",
-             "esp_d_nl_d", "ideal_esp_d_nl_d"]
-    _prewarm(runner, names, apps)
-    series: dict[str, dict[str, float]] = {}
-    for name in names:
-        cfg = presets.by_name(name)
-        label = "base" if name == "baseline" else cfg.name
-        series[label] = {
-            app: 100.0 * runner.run(app, cfg).l1d_miss_rate
-            for app in apps
-        }
+    series = _metric(_grid(runner, "figure11b", apps),
+                     lambda result: 100.0 * result.l1d_miss_rate)
     return FigureResult(
         "Figure 11b", "L1 D-cache miss rate",
         series=series, unit="% miss rate", summary="mean",
@@ -244,17 +253,8 @@ def figure11b(runner: ExperimentRunner, apps=None) -> FigureResult:
 
 def figure12(runner: ExperimentRunner, apps=None) -> FigureResult:
     """Branch misprediction rate for the ESP BP design points."""
-    apps = _apps(apps)
-    names = ["bp_base", "bp_no_extra_hw", "bp_separate_context",
-             "bp_separate_tables", "bp_esp"]
-    _prewarm(runner, names, apps)
-    series: dict[str, dict[str, float]] = {}
-    for name in names:
-        cfg = presets.by_name(name)
-        series[cfg.name] = {
-            app: 100.0 * runner.run(app, cfg).branch_misprediction_rate
-            for app in apps
-        }
+    series = _metric(_grid(runner, "figure12", apps),
+                     lambda result: 100.0 * result.branch_misprediction_rate)
     return FigureResult(
         "Figure 12", "Branch misprediction rate",
         series=series, unit="% mispredicted", summary="mean",
@@ -323,21 +323,14 @@ def figure13(runner: ExperimentRunner, depth: int = 8,
 
 def figure14(runner: ExperimentRunner, apps=None) -> FigureResult:
     """ESP energy relative to the NL baseline, plus extra instructions."""
-    apps = _apps(apps)
-    _prewarm(runner, ["nl", "esp_nl"], apps)
-    nl_cfg = presets.nl()
-    esp_cfg = presets.esp_nl()
-    energy: dict[str, float] = {}
-    extra: dict[str, float] = {}
-    for app in apps:
-        nl_res = runner.run(app, nl_cfg)
-        esp_res = runner.run(app, esp_cfg)
-        energy[app] = 100.0 * (esp_res.energy.total / nl_res.energy.total
-                               - 1.0)
-        extra[app] = 100.0 * esp_res.extra_instruction_fraction
+    nl, esp = _grid(runner, "figure14", apps).values()
     series = {
-        "energy overhead vs NL": energy,
-        "extra instructions": extra,
+        "energy overhead vs NL": {
+            app: 100.0 * (esp[app].energy.total / nl[app].energy.total
+                          - 1.0)
+            for app in nl},
+        "extra instructions": {
+            app: 100.0 * esp[app].extra_instruction_fraction for app in nl},
     }
     return FigureResult(
         "Figure 14", "Energy overhead of ESP",
@@ -351,17 +344,8 @@ def figure14(runner: ExperimentRunner, apps=None) -> FigureResult:
 
 def headline(runner: ExperimentRunner, apps=None) -> FigureResult:
     """The abstract's claims: ESP +16% over NL+S baseline; runahead +6.4%."""
-    apps = _apps(apps)
-    _prewarm(runner, ["nl_s", "esp_nl", "runahead_nl"], apps)
-    nl_s = presets.nl_s()
-    series: dict[str, dict[str, float]] = {
-        "ESP + NL over NL + S": {}, "Runahead + NL over NL + S": {}}
-    for app in apps:
-        base = runner.run(app, nl_s)
-        series["ESP + NL over NL + S"][app] = \
-            runner.run(app, presets.esp_nl()).improvement_over(base)
-        series["Runahead + NL over NL + S"][app] = \
-            runner.run(app, presets.runahead_nl()).improvement_over(base)
+    series = {f"{label} over NL + S": row for label, row in
+              _improvements(_grid(runner, "headline", apps)).items()}
     return FigureResult(
         "Headline", "Improvement over the NL+S baseline (Section 6.1)",
         series=series,

@@ -13,6 +13,9 @@ figures themselves:
   ``esp_d_nl_d``, ``ideal_esp_d_nl_d``.
 * Figure 12 — ``bp_*`` design points.
 * Figure 3 — ``perfect_*``.
+
+:data:`repro.sim.figures.FIGURE_PRESETS` lists the presets each figure
+simulates.
 """
 
 from __future__ import annotations
@@ -268,19 +271,6 @@ def potential_baseline() -> SimConfig:
 
 
 # ---------------------------------------------------------------------------
-
-FIGURE9 = ("baseline", "nl", "nl_s", "runahead", "runahead_nl", "esp",
-           "esp_nl")
-FIGURE10 = ("naive_esp", "naive_esp_nl", "esp_i_nl", "esp_ib_nl",
-            "esp_ibd_nl")
-FIGURE11A = ("baseline", "nl_i", "esp_i", "esp_i_nl_i", "ideal_esp_i_nl_i")
-FIGURE11B = ("baseline", "nl_d", "runahead_d", "runahead_d_nl_d", "esp_d",
-             "esp_d_nl_d", "ideal_esp_d_nl_d")
-FIGURE12 = ("bp_base", "bp_no_extra_hw", "bp_separate_context",
-            "bp_separate_tables", "bp_esp")
-FIGURE3 = ("potential_baseline", "perfect_l1d", "perfect_branch",
-           "perfect_l1i", "perfect_all")
-
 
 def preset_names() -> list[str]:
     """Names of every preset constructor defined in this module."""

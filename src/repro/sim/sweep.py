@@ -98,18 +98,14 @@ class ParameterSweep:
                 raise TypeError("vary() must return a SimConfig")
             configs.append(config.replace(
                 name=f"{self.base.name}[{self.knob}={value}]"))
-        # run_many returns one result per pair in order, so the rows can
-        # be sliced straight out of the flat batch; the label names the
-        # grid manifest a crashed sweep leaves behind for --resume
-        flat = runner.run_many([(app, cfg)
-                                for cfg in [self.baseline] + configs
-                                for app in apps],
-                               label=f"sweep:{self.base.name}:{self.knob}")
-        it = iter(flat)
-        base_results = {app: next(it) for app in apps}
+        # the label names the grid manifest a crashed sweep leaves
+        # behind for --resume
+        grid = runner.grid([self.baseline] + configs, apps,
+                           label=f"sweep:{self.base.name}:{self.knob}")
+        base_results = grid[self.baseline.name]
         sweep = SweepResult(knob=self.knob)
         for value, config in zip(self.values, configs):
-            results = {app: next(it) for app in apps}
+            results = grid[config.name]
             improvements = {
                 app: results[app].improvement_over(base_results[app])
                 for app in apps

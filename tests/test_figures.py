@@ -3,6 +3,8 @@ workloads so the suite stays fast; the benchmarks run the full grids)."""
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.runlog import iter_records
 from repro.sim import figures
 from repro.sim.experiments import ExperimentRunner
 
@@ -11,8 +13,16 @@ APPS = ("pixlr",)
 
 @pytest.fixture(scope="module")
 def runner(tmp_path_factory):
-    return ExperimentRunner(cache_dir=tmp_path_factory.mktemp("cache"),
-                            scale=0.6, seed=0)
+    cache = tmp_path_factory.mktemp("cache")
+    return ExperimentRunner(cache_dir=cache, scale=0.6, seed=0,
+                            log_dir=cache / "logs")
+
+
+def _run_records(runner, cache: str) -> list[dict]:
+    """The run-log records whose cache disposition is ``cache``; every
+    runner here logs to ``<cache_dir>/logs``."""
+    return [record for record in iter_records(runner.cache_dir / "logs")
+            if record["kind"] == "run" and record["cache"] == cache]
 
 
 class TestStaticFigures:
@@ -94,3 +104,32 @@ class TestSimulatedFigures:
                      "figure10", "figure11a", "figure11b", "figure12",
                      "figure13", "figure14", "headline"):
             assert name in figures.ALL_FIGURES
+
+
+class TestPlan:
+    def test_cold_figure_reads_each_result_once(self, tmp_path):
+        """A cold figure simulates each cell once and reads none back, so
+        ``repro stats`` does not count its own cells as cache hits."""
+        runner = ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0,
+                                  log_dir=tmp_path / "logs")
+        figures.figure9(runner, apps=APPS)
+        assert len(_run_records(runner, "simulated")) == 7
+        assert _run_records(runner, "memory") == []
+
+    def test_plan_holds_every_grid_figure_run(self, runner, monkeypatch):
+        """After the plan's batch no grid figure simulates anything: a
+        figure reading a pair outside :data:`FIGURE_PRESETS` fails here."""
+        pairs = figures.plan(list(figures.ALL_FIGURES), APPS)
+        assert len({(app, config.cache_key())
+                    for app, config in pairs}) == 28 * len(APPS)
+        assert set(figures.ALL_FIGURES) - set(figures.FIGURE_PRESETS) \
+            == {"figure6", "figure7", "figure8", "figure13"}
+        runner.run_many(pairs)
+        simulated = len(_run_records(runner, "simulated"))
+        registry = MetricsRegistry()
+        monkeypatch.setattr(runner, "metrics", registry)
+        for name in figures.FIGURE_PRESETS:
+            figures.ALL_FIGURES[name](runner, apps=APPS)
+        assert len(_run_records(runner, "simulated")) == simulated
+        assert "cache.result.miss" not in registry.snapshot()["counters"]
+        assert registry.snapshot()["counters"]["cache.result.hit"] > 0

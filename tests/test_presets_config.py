@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import presets
+from repro.sim import figures, presets
 from repro.sim.config import (
     CacheConfig,
     CoreConfig,
@@ -76,9 +76,7 @@ class TestPresets:
             presets.by_name("SimConfig")
 
     def test_figure_lists_resolve(self):
-        for group in (presets.FIGURE3, presets.FIGURE9, presets.FIGURE10,
-                      presets.FIGURE11A, presets.FIGURE11B,
-                      presets.FIGURE12):
+        for group in figures.FIGURE_PRESETS.values():
             for name in group:
                 presets.by_name(name)
 
