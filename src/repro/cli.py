@@ -269,7 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="workload seed (default: REPRO_SEED or 0)")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: REPRO_JOBS or 1)")
+                   help="worker processes (default: REPRO_JOBS, else "
+                        "every usable CPU for a large uncached grid and "
+                        "in-process for a small one)")
     p.add_argument("--label", default=None,
                    help="label recorded in the grid manifest")
     p.add_argument("--resume", action="store_true",
@@ -286,7 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit JSON instead of text tables")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes for the simulation grid "
-                        "(default: REPRO_JOBS or 1)")
+                        "(default: REPRO_JOBS, else every usable CPU "
+                        "for a large uncached grid and in-process for "
+                        "a small one)")
     p.set_defaults(func=_cmd_figures)
 
     p = sub.add_parser("calibrate", help="workload calibration report")

@@ -17,6 +17,18 @@ callbacks. Two scheduling rules keep that accounting honest:
   remaining future raises ``BrokenProcessPool``; the first break counts
   the death and the surviving tasks are handed back as ``requeued``.
 
+Workers are trace-resident: the pool initializer builds one runner per
+worker process, which every task of the batch reuses, so a worker loads
+each app's trace and code image at most once. Under ``fork`` it starts
+from the parent's loaded traces, inherited in memory rather than
+pickled, and loads only those the parent does not hold. Tasks are
+submitted app-major, largest app first, so a worker's consecutive tasks
+share an app and the longest tasks do not start last. Pools start their
+workers with ``fork`` where the platform offers it (:data:`MP_CONTEXT`):
+it is no slower than ``forkserver`` or ``spawn`` for these pools, and it
+is the one start method that leaves no helper process (a fork server, a
+resource tracker) running after the batch.
+
 Stragglers are cancelled (queued tasks) or abandoned (running tasks —
 the pool is shut down without waiting for them) and handed back to the
 runner's serial retry ladder. If every worker is wedged behind abandoned
@@ -29,6 +41,7 @@ handed back.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -43,34 +56,50 @@ DEADLINE_POLL_S = 0.05
 #: the pending-future wait chunk when no deadline needs enforcing
 IDLE_POLL_S = 0.25
 
+#: the start method of every pool: ``fork`` where offered, else the
+#: platform default (pinned, since CPython 3.14 moves Linux to
+#: ``forkserver``)
+MP_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+#: whether workers inherit the parent's memory (and so its traces)
+FORK = MP_CONTEXT.get_start_method() == "fork"
 
-def run_pool(runner, todo, results, progress, attempt=1):
+
+def run_pool(runner, todo, results, progress, width=1, sizes=None,
+             attempt=1):
     """Run ``todo`` (``(key, app, config)`` triples) over
-    ``min(runner.jobs, len(todo))`` worker processes, filling
-    ``results[key]`` with :class:`~repro.sim.results.SimResult` objects;
-    return the entries the runner's serial retry ladder must finish.
-    ``attempt`` numbers the tries in fault-injection tokens: a batch's
-    pool try is attempt 1, a serial retry passes its own number."""
-    max_workers = min(runner.jobs, len(todo))
+    ``min(width, len(todo))`` worker processes, filling ``results[key]``
+    with :class:`~repro.sim.results.SimResult` objects; return the
+    entries the runner's serial retry ladder must finish, in ``todo``
+    order. ``sizes`` (app -> estimated instructions) orders submission
+    app-major, largest app first. ``attempt`` numbers the tries in
+    fault-injection tokens: a batch's pool try is attempt 1, a serial
+    retry passes its own number."""
+    max_workers = min(width, len(todo))
+    worker_log_dir = str(runner._runlog.log_dir) \
+        if runner._runlog.enabled else None
+    settings = (runner.scale, runner.seed, str(runner.cache_dir),
+                runner.use_disk_cache, worker_log_dir)
     try:
-        pool = runner._pool_cls()(max_workers=max_workers)
+        pool = runner._pool_cls()(
+            max_workers=max_workers, mp_context=MP_CONTEXT,
+            initializer=runner._worker_init(),
+            initargs=settings + (dict(runner._traces) if FORK else None,))
     except (OSError, PermissionError, ValueError):
         return list(todo)  # restricted sandbox: serial fallback
     entry = runner._worker_entry()
     wait_on_exit = True
     pool_broken = False
     try:
-        worker_log_dir = str(runner._runlog.log_dir) \
-            if runner._runlog.enabled else None
+        order = todo if not sizes else sorted(
+            todo, key=lambda task: (-sizes.get(task[1], 0), task[1]))
         meta: dict = {}       # future -> (submit index, key, app)
         submitted: dict = {}  # future -> monotonic submission stamp
         started: dict = {}    # future -> monotonic first-running stamp
         pending = set()
-        for index, (key, app, config) in enumerate(todo):
-            future = pool.submit(
-                entry, app, config, runner.scale, runner.seed,
-                str(runner.cache_dir), runner.use_disk_cache,
-                worker_log_dir, attempt=attempt)
+        for index, (key, app, config) in enumerate(order):
+            future = pool.submit(entry, app, config, *settings,
+                                 attempt=attempt)
             meta[future] = (index, key, app)
             submitted[future] = time.monotonic()
             pending.add(future)

@@ -289,6 +289,11 @@ class LoadedTrace(TraceBase):
     def handler_fid(self, index: int) -> int:
         return self._index[index].handler_fid
 
+    def instructions(self) -> int:
+        """Instructions of every recorded event's true stream, read from
+        the index without decoding anything."""
+        return sum(rec.true_count for rec in self._index)
+
 
 def parse_trace(payload: bytes, profile=None, image=None) -> LoadedTrace:
     """A :class:`LoadedTrace` over ``payload``, the bytes of a file

@@ -6,8 +6,10 @@ rates, retry counts (requeued tasks broken out), the execution context
 that served the simulated runs (``serial`` parent or ``process`` pool
 worker: the per-app ``backend`` column plus the ``backends —`` summary
 line), detected cache corruptions (per artifact kind) and permanently
-failed tasks, as a human-readable table plus a machine-readable summary
-dict (``--json``). Every quarantine event the harness performs is a
+failed tasks, and the largest peak resident set a pool worker reported
+(``peak_rss_mb`` of its ``simulated`` records: the parent's own
+``ru_maxrss`` never covers a worker), as a human-readable table plus a
+machine-readable summary dict (``--json``). Every quarantine event the harness performs is a
 ``corrupt`` record, so this report is the audit trail of how much
 on-disk state had to be regenerated. Fields this module does not know
 (such as the ``kernel`` / ``memo_*`` / ``fidelity`` fields of logs
@@ -41,7 +43,8 @@ def summarize(records) -> dict:
          "cache_hit_rate": float, "retries": int, "requeued": int,
          "corruptions": int, "corrupt_by_artifact": {artifact: int},
          "task_failures": int, "backends": {backend: int},
-         "simulate_s": float, "apps": {app: {...per-app...}}}
+         "simulate_s": float, "worker_peak_rss_mb": float | None,
+         "apps": {app: {...per-app...}}}
 
     Per-app buckets carry run/hit/retry/corruption/failure counts, the
     execution backends that served the simulated runs, the summed
@@ -54,6 +57,7 @@ def summarize(records) -> dict:
     apps: dict[str, dict] = {}
     runs = simulated = cache_hits = retries = requeued = 0
     corruptions = task_failures = 0
+    worker_peak_rss_mb = None
     corrupt_by_artifact: dict[str, int] = {}
     for record in records:
         kind = record.get("kind")
@@ -78,6 +82,10 @@ def summarize(records) -> dict:
                 value = record.get(field)
                 if isinstance(value, (int, float)):
                     bucket[field] += value
+            peak = record.get("peak_rss_mb")
+            if isinstance(peak, (int, float)):
+                worker_peak_rss_mb = peak if worker_peak_rss_mb is None \
+                    else max(worker_peak_rss_mb, peak)
         elif kind == "retry":
             retries += 1
             bucket = apps.setdefault(app, _fresh_app_bucket())
@@ -120,6 +128,7 @@ def summarize(records) -> dict:
         "task_failures": task_failures,
         "backends": {b: backends_total[b] for b in sorted(backends_total)},
         "simulate_s": sum(b["simulate_s"] for b in apps.values()),
+        "worker_peak_rss_mb": worker_peak_rss_mb,
         "apps": {app: apps[app] for app in sorted(apps)},
     }
 
@@ -167,6 +176,9 @@ def format_table(summary: dict) -> str:
         parts = ", ".join(f"{backend}: {count}" for backend, count
                           in summary["backends"].items())
         lines.append(f"backends — {parts}")
+    if summary.get("worker_peak_rss_mb") is not None:
+        lines.append(f"worker peak RSS — "
+                     f"{summary['worker_peak_rss_mb']:.1f} MB")
     if summary.get("corrupt_by_artifact"):
         detail = ", ".join(f"{artifact}: {count}" for artifact, count
                            in summary["corrupt_by_artifact"].items())

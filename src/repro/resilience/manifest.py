@@ -7,9 +7,11 @@ configuration, status (``pending`` / ``done`` / ``failed``) and failure
 reason. It is written twice per batch, atomically (write-to-temp +
 rename) with an embedded content digest: at batch start, with the
 cached tasks ``done`` and the rest ``pending``, and at batch end, with
-every task ``done`` or ``failed``. Every result is a pure function of
-its key, so the digest-checked result cache is the record of which
-tasks finished; an interrupted campaign keeps its start manifest, and
+every task ``done`` or ``failed``. A batch served wholly from the cache
+writes none, unless it finds its grid's unfinished manifest
+(:meth:`GridManifest.find`), which it completes. Every result is a pure
+function of its key, so the digest-checked result cache is the record
+of which tasks finished; an interrupted campaign keeps its start manifest, and
 ``repro run --resume`` re-plans the grid from it with the finished
 tasks served as cache hits.
 
@@ -162,9 +164,7 @@ class GridManifest:
         failure, so a read-only cache gets no manifest.
         """
         directory = Path(directory)
-        gid = cls.grid_identity(
-            [(t["app"], t["config_digest"]) for t in tasks], scale, seed)
-        path = directory / f"grid-{gid}.json"
+        gid, path = cls._locate(directory, tasks, scale, seed)
         if path.exists():
             try:
                 cls.load(path)
@@ -193,6 +193,26 @@ class GridManifest:
         })
         manifest._write()
         return manifest
+
+    @classmethod
+    def _locate(cls, directory: Path, tasks: list[dict], scale: float,
+                seed: int) -> tuple[str, Path]:
+        """The grid id of ``tasks`` and its manifest path."""
+        gid = cls.grid_identity(
+            [(t["app"], t["config_digest"]) for t in tasks], scale, seed)
+        return gid, directory / f"grid-{gid}.json"
+
+    @classmethod
+    def find(cls, directory: Path | str, tasks: list[dict], *,
+             scale: float, seed: int) -> "GridManifest | None":
+        """The existing manifest of the grid ``tasks`` (entries as for
+        :meth:`start`), or None when there is none or it fails its
+        digest check (the grid's next :meth:`start` quarantines it)."""
+        _, path = cls._locate(Path(directory), tasks, scale, seed)
+        try:
+            return cls.load(path)
+        except (IntegrityError, ValueError, KeyError, OSError):
+            return None
 
     @classmethod
     def load(cls, path: Path | str) -> "GridManifest":

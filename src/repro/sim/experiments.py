@@ -14,18 +14,23 @@ The scale component of keys and trace filenames is normalised through
 the same workload share one cache entry.
 
 The worker count is the one fan-out setting: ``REPRO_JOBS`` (or the
-``jobs`` constructor argument / ``--jobs`` CLI flag, default 1). At 1,
-:meth:`ExperimentRunner.run_many` runs every missing (app, config) pair
-in-process; above 1, or whenever a task timeout is set, it hands their
-first tries to :func:`repro.exec.run_pool`, one process pool of
-``min(jobs, missing pairs)`` workers per batch that owns
-submission, per-task deadline accounting (measured from task *start*,
-so queue wait behind busy workers is never charged against
-``REPRO_TASK_TIMEOUT``), straggler cancellation, and the hand-back of
-unfinished tasks to the serial retry ladder. Every simulation is a pure
-function of its key, so parallel results are bit-identical to serial
-ones; workers write the same on-disk caches atomically (write-to-temp +
-rename), making concurrent writers safe.
+``jobs`` constructor argument / ``--jobs`` CLI flag). Left unset,
+:meth:`ExperimentRunner.run_many` picks it per batch (:func:`batch_width`):
+in-process on one usable CPU, without the disk cache or for a batch
+estimated below :data:`FANOUT_MIN_INSTRUCTIONS`, over every usable CPU
+otherwise. At 1 it runs every missing (app, config) pair in-process;
+above 1, or whenever a task timeout is set, it hands their first tries
+to :func:`repro.exec.run_pool`, one process pool of ``min(jobs, missing
+pairs)`` workers per batch, each worker holding one resident runner
+that starts from the parent's loaded traces (under ``fork``) and loads
+any other app's trace once. The pool owns submission, per-task
+deadline accounting (measured from task *start*, so queue wait behind
+busy workers is never charged against ``REPRO_TASK_TIMEOUT``), straggler
+cancellation, and the hand-back of unfinished tasks to the serial retry
+ladder. Every simulation is a pure function of its key, so parallel
+results are bit-identical to serial ones; workers write the same on-disk
+caches atomically (write-to-temp + rename), making concurrent writers
+safe.
 Event traces are recorded once per (app, scale, seed) into the cache's
 ``traces/`` directory using the :mod:`repro.isa.tracefile` format, and
 every simulation — in the parent or a worker — decodes its events from
@@ -89,6 +94,7 @@ from __future__ import annotations
 import contextlib
 import os
 import shutil
+import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -190,9 +196,42 @@ def default_seed() -> int:
     return _env_or_default(_SEED_ENV, 0, int)
 
 
-def default_jobs() -> int:
-    """Worker-process count from ``REPRO_JOBS`` (default 1 = serial)."""
-    return max(1, _env_or_default(_JOBS_ENV, 1, int))
+def default_jobs() -> int | None:
+    """Worker-process count from ``REPRO_JOBS`` (default None: each batch
+    picks its own, see :func:`batch_width`)."""
+    jobs = _env_or_default(_JOBS_ENV, None, int)
+    return None if jobs is None else max(1, jobs)
+
+
+#: estimated instructions (summed over a batch's uncached tasks) from
+#: which a batch with no explicit worker count fans out. Measured on a
+#: 2-vCPU host (DESIGN §11): 2-task batches of 48k-145k ran slower on 2
+#: workers than in-process, 4-task batches from 193k ran faster; below
+#: this, starting the workers costs about what the second core saves
+FANOUT_MIN_INSTRUCTIONS = 250_000
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform
+    has one, else the CPU count)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks (macOS, Windows)
+        return os.cpu_count() or 1
+
+
+def batch_width(jobs: int | None, cpus: int, use_disk_cache: bool,
+                instructions: int) -> int:
+    """Worker count of one batch: an explicit ``jobs`` always; otherwise
+    1 on one usable CPU, without the disk cache (workers could not share
+    traces or results) or below :data:`FANOUT_MIN_INSTRUCTIONS` estimated
+    ``instructions``, and every usable CPU above it."""
+    if jobs is not None:
+        return jobs
+    if cpus <= 1 or not use_disk_cache \
+            or instructions < FANOUT_MIN_INSTRUCTIONS:
+        return 1
+    return cpus
 
 
 def default_task_timeout() -> float | None:
@@ -267,22 +306,71 @@ def default_cache_dir() -> Path:
     return Path.cwd() / ".repro_cache"
 
 
+#: this worker process's runner and the settings it was built with
+_resident: tuple[tuple, "ExperimentRunner"] | None = None
+
+
+def _init_worker(scale: float, seed: int, cache_dir: str,
+                 use_disk_cache: bool, log_dir: str | None,
+                 traces: dict | None = None) -> None:
+    """Pool initializer: build this worker's resident runner for these
+    settings, replacing any a forked worker inherited. ``traces`` (app ->
+    loaded trace) are the parent's, handed over under ``fork``, where
+    they arrive as inherited memory instead of pickles: the worker then
+    loads no trace and builds no code image the parent already holds."""
+    global _resident
+    _resident = None
+    runner = _resident_runner(scale, seed, cache_dir, use_disk_cache,
+                              log_dir)
+    if traces:
+        runner._traces.update(traces)
+
+
+def _resident_runner(scale: float, seed: int, cache_dir: str,
+                     use_disk_cache: bool,
+                     log_dir: str | None) -> "ExperimentRunner":
+    """The worker's runner for these settings, built on first use and
+    reused by every later task, so each app's trace and code image load
+    once per worker instead of once per task."""
+    global _resident
+    settings = (scale, seed, cache_dir, use_disk_cache, log_dir)
+    if _resident is None or _resident[0] != settings:
+        runner = ExperimentRunner(cache_dir=cache_dir, scale=scale,
+                                  seed=seed, use_disk_cache=use_disk_cache,
+                                  jobs=1, log_dir=log_dir)
+        runner.backend_label = "process"
+        _resident = (settings, runner)
+    return _resident[1]
+
+
 def _run_in_worker(app: str, config: SimConfig, scale: float, seed: int,
                    cache_dir: str, use_disk_cache: bool,
                    log_dir: str | None = None, attempt: int = 1) -> dict:
-    """Worker-process entry point: run one simulation, sharing the on-disk
-    caches — and the JSONL run log — with the parent (module-level so it
-    pickles under fork and spawn alike). ``attempt`` distinguishes retries
-    of the same task in fault-injection tokens, so an injected worker kill
-    cannot pin a task down across its whole attempt budget.
+    """Worker-process entry point: run one simulation on the worker's
+    resident runner, sharing the on-disk caches — and the JSONL run log —
+    with the parent (module-level so it pickles under fork and spawn
+    alike). ``attempt`` distinguishes retries of the same task in
+    fault-injection tokens, so an injected worker kill cannot pin a task
+    down across its whole attempt budget.
     """
     get_fault_plan().maybe_kill_worker(
         f"{app}-{config.cache_key()}#{attempt}")
-    runner = ExperimentRunner(cache_dir=cache_dir, scale=scale, seed=seed,
-                              use_disk_cache=use_disk_cache, jobs=1,
-                              log_dir=log_dir)
-    runner.backend_label = "process"
+    runner = _resident_runner(scale, seed, cache_dir, use_disk_cache,
+                              log_dir)
     return runner.run(app, config).to_dict()
+
+
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set in MB (None where the platform
+    has no ``resource`` module)."""
+    try:
+        import resource
+    except ImportError:  # pragma: no cover — Windows
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is in bytes on macOS, in KiB elsewhere
+    return round(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10),
+                 1)
 
 
 class ExperimentRunner:
@@ -297,9 +385,10 @@ class ExperimentRunner:
                  max_attempts: int | None = None,
                  retry_backoff: float | None = None,
                  min_disk_mb: int | None = None) -> None:
-        """``jobs`` (or ``REPRO_JOBS``, default 1) is the worker count
-        for grid batches: above 1, uncached tasks fan out over a process
-        pool. ``task_timeout`` (or ``REPRO_TASK_TIMEOUT``) bounds each
+        """``jobs`` (or ``REPRO_JOBS``) is the worker count for grid
+        batches: above 1, uncached tasks fan out over a process pool;
+        unset, each batch picks its own (:func:`batch_width`).
+        ``task_timeout`` (or ``REPRO_TASK_TIMEOUT``) bounds each
         task attempt; ``max_attempts`` / ``retry_backoff`` (or
         ``REPRO_MAX_ATTEMPTS`` / ``REPRO_RETRY_BACKOFF``) shape the retry
         schedule before a task is marked failed; ``log_dir`` forces JSONL
@@ -312,7 +401,8 @@ class ExperimentRunner:
         self.cache_dir = Path(cache_dir) if cache_dir is not None \
             else default_cache_dir()
         self.use_disk_cache = use_disk_cache
-        self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
+        #: the explicit worker count, or None to pick one per batch
+        self._jobs = default_jobs() if jobs is None else max(1, int(jobs))
         #: execution context stamped on this runner's run records:
         #: "serial" (parent / inline) or "process" (worker processes)
         self.backend_label = "serial"
@@ -348,6 +438,14 @@ class ExperimentRunner:
         if self.use_disk_cache:
             self._check_disk_space()
             self._sweep_stale_tmp()
+
+    @property
+    def jobs(self) -> int:
+        """The explicit worker count, else the most a batch may use:
+        every usable CPU with the disk cache, 1 without."""
+        if self._jobs is not None:
+            return self._jobs
+        return usable_cpus() if self.use_disk_cache else 1
 
     # -- cache hygiene ---------------------------------------------------------
 
@@ -589,7 +687,7 @@ class ExperimentRunner:
         """Append one ``run`` record (no-op when logging is disabled)."""
         if not self._runlog.enabled:
             return
-        self._runlog.write({
+        record = {
             "kind": "run", "ts": round(time.time(), 3), "key": key,
             "app": app, "config": config.name,
             "config_digest": config.cache_key(), "scale": self.scale,
@@ -597,7 +695,11 @@ class ExperimentRunner:
             "backend": self.backend_label,
             "trace_load_s": round(trace_load_s, 6),
             "simulate_s": round(simulate_s, 6),
-            "store_s": round(store_s, 6)})
+            "store_s": round(store_s, 6)}
+        if cache == "simulated" and self.backend_label == "process":
+            # the parent's ru_maxrss never sees a worker's peak
+            record["peak_rss_mb"] = _peak_rss_mb()
+        self._runlog.write(record)
 
     def _log_retry(self, key: str, app: str, reason: str) -> None:
         """Append one ``retry`` record (no-op when logging is disabled)."""
@@ -655,6 +757,11 @@ class ExperimentRunner:
         module global likewise."""
         return _run_in_worker
 
+    def _worker_init(self):
+        """The pool initializer that builds each worker's resident
+        runner, late-bound likewise."""
+        return _init_worker
+
     # -- fan-out accounting (run_pool calls back into these) -------------------
 
     def _note_timeout(self, key: str, app: str) -> None:
@@ -708,10 +815,10 @@ class ExperimentRunner:
 
     def run_many(self, pairs: Iterable[tuple[str, SimConfig]],
                  label: str | None = None) -> list[SimResult]:
-        """Run every (app, config) pair; with ``self.jobs`` above 1, or a
-        ``task_timeout`` set, the first tries of the uncached ones go
-        through one process pool of ``min(jobs, uncached)`` workers
-        (:func:`run_pool`).
+        """Run every (app, config) pair; with a batch width above 1
+        (:meth:`_batch_plan`), or a ``task_timeout`` set, the first tries
+        of the uncached ones go through one process pool of ``min(width,
+        uncached)`` workers (:func:`run_pool`).
 
         Results come back in ``pairs`` order — always one per pair, even
         when a worker dies or times out mid-batch (its tasks are
@@ -725,7 +832,9 @@ class ExperimentRunner:
         The batch's tasks are recorded in a grid manifest under
         ``<cache>/manifests/``, written when the batch starts and again
         when it ends, so an interrupted campaign keeps an incomplete
-        manifest and resumes via :meth:`resume_grid`. A task that
+        manifest and resumes via :meth:`resume_grid`. A batch served
+        wholly from the cache writes none, but completes the grid's
+        manifest if an unfinished one exists. A task that
         exhausts ``max_attempts`` is marked failed with its reason
         instead of blocking the rest; when any task failed,
         :class:`GridTaskError` is raised after the whole batch has been
@@ -746,21 +855,20 @@ class ExperimentRunner:
             if cached is not None:
                 results[key] = cached
         todo = [entry for entry in unique if entry[0] not in results]
-        manifest = self._start_manifest(unique, results, label)
+        manifest = self._start_manifest(unique, results, label) if todo \
+            else self._unfinished_manifest(unique)
         progress = ProgressLine(len(unique), label="sims")
         progress.advance(len(results), note="cached")
         missing = todo
         self._pool_failures = {}
-        if todo and (self.jobs > 1 or self.task_timeout is not None):
-            # a timeout needs a worker process even at jobs=1 (a hung
-            # simulation cannot be interrupted in-process): one pool
-            # takes every first try. Above jobs=1, record the traces
-            # first so workers load instead of each generating the same
-            # apps; a lone worker records each trace once itself
-            if self.use_disk_cache and self.jobs > 1:
-                for app in {app for _, app, _ in todo}:
-                    self.trace(app)
-            missing = run_pool(self, todo, results, progress)
+        if todo:
+            width, sizes = self._batch_plan(todo)
+            if width > 1 or self.task_timeout is not None:
+                # a timeout needs a worker process even at width 1 (a
+                # hung simulation cannot be interrupted in-process): one
+                # pool takes every first try
+                missing = run_pool(self, todo, results, progress,
+                                   width=width, sizes=sizes)
         plan = get_fault_plan()
         failures: list[tuple[str, str, str]] = []
         try:
@@ -787,24 +895,62 @@ class ExperimentRunner:
         assert len(out) == len(pairs)
         return out
 
+    def _batch_plan(self, todo) -> tuple[int, dict[str, int]]:
+        """The batch's worker count and each app's recorded instructions.
+
+        A batch that may fan out records every app's trace first, so
+        workers load it instead of each generating the same app, and the
+        recordings' event lengths size the batch: the estimate
+        :func:`batch_width` weighs is the sum over ``todo`` of its app's
+        instructions. In-process runs reuse the recorded traces."""
+        sizes: dict[str, int] = {}
+        if self.use_disk_cache and self.jobs > 1:
+            for _, app, _ in todo:
+                if app not in sizes:
+                    sizes[app] = self.trace(app).instructions()
+        estimate = sum(sizes.get(app, 0) for _, app, _ in todo)
+        width = batch_width(self._jobs, usable_cpus(), self.use_disk_cache,
+                            estimate)
+        return width, sizes
+
     def _start_manifest(self, unique, results,
                         label) -> GridManifest | None:
         """Write the batch's start manifest (cached tasks done), or
         return None when the disk cache is off or the manifest cannot be
         written."""
-        if not self.use_disk_cache or not self.cache_writes_enabled \
-                or not unique:
+        if not self._manifests_writable(unique):
             return None
-        tasks = [{"key": key, "app": app, "config_name": config.name,
-                  "config_digest": config.cache_key(),
-                  "config": config_to_dict(config)}
-                 for key, app, config in unique]
         try:
             return GridManifest.start(
-                self.manifest_dir, tasks, scale=self.scale,
-                seed=self.seed, label=label, done=results.keys())
+                self.manifest_dir, self._manifest_tasks(unique),
+                scale=self.scale, seed=self.seed, label=label,
+                done=results.keys())
         except OSError:
             return None  # read-only cache: the campaign isn't resumable
+
+    def _unfinished_manifest(self, unique) -> GridManifest | None:
+        """An all-cached batch's own unfinished manifest (a campaign
+        whose remaining tasks landed in the cache since), for the batch
+        end to complete; None when there is none to complete."""
+        if not self._manifests_writable(unique):
+            return None
+        manifest = GridManifest.find(
+            self.manifest_dir, self._manifest_tasks(unique),
+            scale=self.scale, seed=self.seed)
+        if manifest is None or manifest.is_complete:
+            return None
+        return manifest
+
+    def _manifests_writable(self, unique) -> bool:
+        return bool(unique) and self.use_disk_cache \
+            and self.cache_writes_enabled
+
+    @staticmethod
+    def _manifest_tasks(unique) -> list[dict]:
+        return [{"key": key, "app": app, "config_name": config.name,
+                 "config_digest": config.cache_key(),
+                 "config": config_to_dict(config)}
+                for key, app, config in unique]
 
     def _complete_serially(self, key: str, app: str, config: SimConfig,
                            pool_failure: str | None = None
@@ -886,7 +1032,7 @@ class ExperimentRunner:
             runner = ExperimentRunner(
                 cache_dir=self.cache_dir, scale=manifest.scale,
                 seed=manifest.seed, use_disk_cache=self.use_disk_cache,
-                jobs=self.jobs,
+                jobs=self._jobs,
                 # 0, not None: None would fall back to REPRO_TASK_TIMEOUT
                 task_timeout=self.task_timeout or 0,
                 log_dir=self._runlog.log_dir if self._runlog.enabled

@@ -571,6 +571,11 @@ class EventTrace(TraceBase):
         the event's streams)."""
         return self._handler_of[index]
 
+    def instructions(self) -> int:
+        """The events' target lengths summed: the walk's estimate of
+        their instructions, known before any event is walked."""
+        return sum(self._target_len)
+
     def stale_state_for(self, index: int) -> dict[int, int]:
         """Shared state visible to a pre-execution of event ``index``: the
         state as of two events earlier (the writes of the one or two skipped

@@ -197,6 +197,19 @@ class TestRunnerLogging:
                       "store_s", "ts"):
             assert all(field in r for r in records), field
 
+    def test_pool_workers_log_their_peak_rss(self, tmp_path,
+                                             null_registry):
+        log_dir = tmp_path / "logs"
+        runner = ExperimentRunner(cache_dir=tmp_path, scale=0.05, seed=0,
+                                  jobs=2, log_dir=log_dir)
+        runner.run_many([("pixlr", presets.baseline()),
+                         ("pixlr", presets.nl())])
+        runner.run("pixlr", presets.nl_s())  # in the parent
+        by_backend = {r["backend"]: r for r in iter_records(log_dir)
+                      if r["kind"] == "run"}
+        assert by_backend["process"]["peak_rss_mb"] > 0
+        assert "peak_rss_mb" not in by_backend["serial"]
+
     def test_cache_hits_logged_with_disposition(self, tmp_path,
                                                 null_registry):
         log_dir = tmp_path / "logs"
@@ -308,6 +321,15 @@ class TestStatsAggregation:
         assert bing["throughput_per_s"] == pytest.approx(2 / 6.0)
         assert bing["retries"] == 1
         assert apps["pixlr"]["throughput_per_s"] == pytest.approx(1.0)
+
+    def test_worker_peak_rss_is_the_maximum(self):
+        records = self.RECORDS + [
+            _run_record("bing", "simulated", peak_rss_mb=61.5),
+            _run_record("pixlr", "simulated", peak_rss_mb=88.4)]
+        summary = summarize(records)
+        assert summary["worker_peak_rss_mb"] == 88.4
+        assert "worker peak RSS — 88.4 MB" in format_table(summary)
+        assert summarize(self.RECORDS)["worker_peak_rss_mb"] is None
 
     def test_empty_records(self):
         summary = summarize([])

@@ -10,14 +10,18 @@ cannot be created degrade to the serial path instead of failing.
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
+from repro.obs.runlog import iter_records
 from repro.resilience import GridManifest, unwrap_result
+from repro.sim import experiments as experiments_mod
 from repro.sim import presets
-from repro.sim.experiments import (ExperimentRunner, GridTaskError,
-                                   _run_in_worker)
+from repro.sim.experiments import (FANOUT_MIN_INSTRUCTIONS,
+                                   ExperimentRunner, GridTaskError,
+                                   _run_in_worker, batch_width)
 from repro.sim.results import SimResult
 
 APPS = ["bing", "pixlr"]
@@ -47,6 +51,29 @@ def _flaky_worker(app, config, scale, seed, cache_dir, use_disk_cache,
         time.sleep(2.0)
     return _run_in_worker(app, config, scale, seed, cache_dir,
                           use_disk_cache, log_dir, attempt, **kwargs)
+
+
+class _InlinePool:
+    """An executor that runs its initializer and every task in the calling
+    process, so a test can count what a worker does."""
+
+    def __init__(self, max_workers, mp_context=None, initializer=None,
+                 initargs=()):
+        initializer(*initargs)
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def _child_pids() -> set[str]:
+    """Live child processes of this process, every thread's included."""
+    return {pid for path in Path("/proc/self/task").glob("*/children")
+            for pid in path.read_text().split()}
 
 
 def _grid_dicts(runner):
@@ -274,3 +301,79 @@ class TestJobsConfiguration:
 
     def test_jobs_floor_is_one(self):
         assert ExperimentRunner(use_disk_cache=False, jobs=0).jobs == 1
+
+    @pytest.mark.parametrize(
+        "jobs, env, cpus, disk, instructions, width", [
+            (3, "2", 1, False, 0, 3),     # an explicit jobs= always wins
+            (None, "2", 1, False, 0, 2),  # then REPRO_JOBS
+            (None, None, 1, True, 10**9, 1),  # one usable CPU
+            (None, None, 4, False, 10**9, 1),  # no disk cache
+            (None, None, 4, True, FANOUT_MIN_INSTRUCTIONS - 1, 1),
+            (None, None, 4, True, FANOUT_MIN_INSTRUCTIONS, 4),
+        ])
+    def test_batch_width_rule(self, tmp_path, monkeypatch, jobs, env, cpus,
+                              disk, instructions, width):
+        if env is None:
+            monkeypatch.delenv("REPRO_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_JOBS", env)
+        runner = ExperimentRunner(cache_dir=tmp_path, use_disk_cache=disk,
+                                  jobs=jobs)
+        assert batch_width(runner._jobs, cpus, disk, instructions) == width
+
+
+class TestResidentWorkers:
+    def test_worker_loads_each_trace_once(self, tmp_path, monkeypatch):
+        """Two tasks of one app in one width-1 pool share the worker's
+        runner, so the trace is loaded once, not once per task."""
+        loads = []
+        real_load = experiments_mod.load_trace
+
+        def counting_load(*args, **kwargs):
+            loads.append(args[0])
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(experiments_mod, "load_trace", counting_load)
+        monkeypatch.setattr(experiments_mod, "_resident", None)
+        monkeypatch.setattr(ExperimentRunner, "_pool_cls",
+                            lambda self: _InlinePool)
+        # jobs=1 records no trace in the parent; the timeout sends the
+        # first tries through one width-1 pool
+        runner = ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0,
+                                  jobs=1, task_timeout=60)
+        results = runner.run_many([("pixlr", presets.baseline()),
+                                   ("pixlr", presets.nl())])
+        assert [r.app for r in results] == ["pixlr", "pixlr"]
+        assert len(loads) == 1
+
+
+class TestDefaultWidth:
+    """With no jobs=, REPRO_JOBS or --jobs, a batch above the fan-out
+    threshold runs over every usable CPU."""
+
+    @pytest.fixture
+    def fanning_out(self, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.setattr(experiments_mod, "usable_cpus", lambda: 2)
+
+    def test_default_width_grid_matches_serial(self, tmp_path,
+                                               fanning_out):
+        runner = ExperimentRunner(cache_dir=tmp_path / "auto", scale=0.25,
+                                  seed=0, log_dir=tmp_path / "logs")
+        auto = _grid_dicts(runner)
+        serial = ExperimentRunner(cache_dir=tmp_path / "serial",
+                                  scale=0.25, seed=0, jobs=1)
+        assert auto == _grid_dicts(serial)
+        backends = {r["backend"] for r in iter_records(tmp_path / "logs")
+                    if r.get("cache") == "simulated"}
+        assert backends == {"process"}
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                        reason="needs Linux /proc")
+    def test_default_width_batch_leaves_no_child_process(self, tmp_path,
+                                                         fanning_out):
+        before = _child_pids()
+        runner = ExperimentRunner(cache_dir=tmp_path, scale=0.25, seed=0)
+        _grid_dicts(runner)
+        assert runner._memory  # the batch ran
+        assert _child_pids() - before == set()

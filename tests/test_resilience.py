@@ -467,6 +467,40 @@ class TestRunnerResume:
         assert [r.to_dict() for r in results] == reference
         assert _runner(tmp_path).resume_grid() is None  # nothing pending
 
+    def test_resume_completes_a_grid_the_cache_caught_up_with(
+            self, tmp_path):
+        """The interrupted campaign's remaining tasks land in the cache
+        through other batches; the resume, served wholly from the cache,
+        still completes the campaign's manifest."""
+        config = presets.baseline()
+        pairs = [("bing", config), ("pixlr", config)]
+        set_fault_plan(FaultPlan({"interrupt": 1.0}, seed=0))
+        with pytest.raises(KeyboardInterrupt):
+            _runner(tmp_path).run_many(pairs, label="resumable")
+        set_fault_plan(FaultPlan())
+        runner = _runner(tmp_path)
+        for app, cfg in pairs:
+            runner.run(app, cfg)
+        manifest, _ = _runner(tmp_path).resume_grid()
+        assert manifest.is_complete and manifest.label == "resumable"
+        assert _runner(tmp_path).resume_grid() is None
+
+    def test_cold_figures_run_leaves_one_manifest(self, tmp_path):
+        """``repro figures`` runs its plan as one batch, then each figure
+        re-reads its cells as an all-cached batch, which writes no
+        manifest of its own."""
+        from repro.sim.figures import ALL_FIGURES, plan
+
+        names, apps = ["figure9", "figure12"], ["pixlr"]
+        runner = ExperimentRunner(cache_dir=tmp_path, scale=0.05, seed=0,
+                                  jobs=1)
+        runner.run_many(plan(names, apps), label="figures")
+        for name in names:
+            ALL_FIGURES[name](runner, apps=apps)
+        [path] = runner.manifest_dir.glob("grid-*.json")
+        manifest = GridManifest.load(path)
+        assert manifest.label == "figures" and manifest.is_complete
+
     def test_failed_tasks_rearm_on_resume(self, tmp_path, monkeypatch):
         import repro.sim.experiments as experiments_mod
 
