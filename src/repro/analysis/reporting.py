@@ -128,10 +128,26 @@ static energy than its pre-execution costs."""),
 **Paper (Section 6.1):** against the realistic NL+S baseline, ESP gains
 16 % while runahead gains 6.4 % — a ~2.5x advantage.
 
-**Reproduction:** ESP +8.3 % vs runahead +3.8 % over NL+S — a 2.2x
-advantage. The margins halve with the workload scaling (both techniques
-have less total stall time to harvest), but ESP's advantage over runahead —
-the paper's thesis — is preserved at almost the same ratio."""),
+**Reproduction:** ESP +8.3 % vs runahead +3.8 % over NL+S at scale 1 —
+a 2.2x advantage, against the paper's ~2.5x. `REPRO_SCALE` multiplies
+only the number of events per session; the code image and the event
+lengths stay fixed. HMeans of `python -m repro figures headline` at seed
+0 and four scales:
+
+| scale | ESP+NL / RA+NL over NL+S | ratio | RA+NL beats ESP+NL on |
+|---|---|---|---|
+| 0.5 | 10.65 / 4.13 % | 2.58 | no app |
+| 1 | 8.30 / 3.77 % | 2.20 | no app |
+| 2 | 5.08 / 3.01 % | 1.69 | no app |
+| 4 | 3.40 / 2.46 % | 1.38 | bing (1.02 / 1.65 %), gmaps (1.85 / 2.29 %) |
+
+The margins, and ESP's lead over runahead, shrink as sessions lengthen:
+more events re-use one fixed code image, so the image warms up and the
+I-side stall ESP targets fades (ROADMAP, "The thesis claim shrinks as
+sessions get longer", traces it through Figure 3's perfect-L1I
+potential). Longer sessions would not close the gap to the paper in this
+model. On a 2-vCPU host at `--jobs 1` the four runs took 11, 24, 43 and
+79 s, with peak RSS 288, 391, 415 and 433 MB."""),
 ]
 
 EXTRA_SECTIONS = """

@@ -37,7 +37,6 @@ from repro.isa.instructions import (
     KIND_STORE,
 )
 from repro.memory.cachelet import CacheletPair
-from repro.obs.metrics import get_registry
 from repro.sim.config import EspBpMode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -92,10 +91,6 @@ class EspController:
         self.collect_working_sets = False
         self.i_working_sets: list[dict[int, int]] = []
         self._ras_dirty = False
-        #: process-wide metrics registry (no-op unless enabled); stall
-        #: entries and mode switches are recorded at stall granularity,
-        #: never per pre-executed instruction
-        self.metrics = get_registry()
         # naive-mode fill tracking for the prematurity-decay substitution
         # (see EspConfig.naive_l1_decay): blocks fetched straight into the
         # hierarchy for future events, pending their boundary decay.
@@ -225,10 +220,6 @@ class EspController:
         if not any(slots):
             return  # nothing queued: no sneak peek possible
         self.stats.mode_entries += 1
-        metrics = self.metrics if self.metrics.enabled else None
-        if metrics is not None:
-            metrics.inc("esp.context_switches")
-            metrics.observe("esp.stall_budget_cycles", budget)
         switch_penalty = self.core.context_switch_penalty
         budget -= switch_penalty
         depth = esp.depth
@@ -263,8 +254,6 @@ class EspController:
                 if deeper or state.finished or state.exhausted:
                     mode += 1
                     budget -= switch_penalty
-                    if metrics is not None:
-                        metrics.inc("esp.context_switches")
                 else:
                     progress = False
                     break  # budget exhausted mid-slot

@@ -70,11 +70,5 @@ class HardwareEventQueue:
         self.slots = self.slots[1:] + [None]
         return head
 
-    def mark_incorrect(self, event_index: int) -> None:
-        """Set the incorrect-prediction bit for ``event_index`` (if queued)."""
-        for slot in self.slots:
-            if slot is not None and slot.event_index == event_index:
-                slot.incorrect_prediction = True
-
     def clear(self) -> None:
         self.slots = [None] * self.depth

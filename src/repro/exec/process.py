@@ -10,9 +10,8 @@ callbacks. Two scheduling rules keep that accounting honest:
 
 * **Deadlines start when the task starts, not when it was queued.**
   Pending futures are polled, each is stamped the first time it is
-  observed running, and the deadline is measured from that stamp; the
-  queue wait is reported to the ``backend.queue_wait_s`` metric instead
-  of being charged against the task.
+  observed running, and the deadline is measured from that stamp, so
+  queue wait is never charged against the task.
 * **One pool break is one worker death.** Once a pool breaks, *every*
   remaining future raises ``BrokenProcessPool``; the first break counts
   the death and the surviving tasks are handed back as ``requeued``.
@@ -94,14 +93,12 @@ def run_pool(runner, todo, results, progress, width=1, sizes=None,
         order = todo if not sizes else sorted(
             todo, key=lambda task: (-sizes.get(task[1], 0), task[1]))
         meta: dict = {}       # future -> (submit index, key, app)
-        submitted: dict = {}  # future -> monotonic submission stamp
         started: dict = {}    # future -> monotonic first-running stamp
         pending = set()
         for index, (key, app, config) in enumerate(order):
             future = pool.submit(entry, app, config, *settings,
                                  attempt=attempt)
             meta[future] = (index, key, app)
-            submitted[future] = time.monotonic()
             pending.add(future)
         poll = DEADLINE_POLL_S if runner.task_timeout is not None \
             else IDLE_POLL_S
@@ -162,9 +159,6 @@ def run_pool(runner, todo, results, progress, width=1, sizes=None,
                     started[future] = now
                     busy_workers += 1
                     last_progress = now
-                    _, key, app = meta[future]
-                    runner._note_queue_wait(
-                        key, app, now - submitted[future])
             if runner.task_timeout is None:
                 continue
             for future in list(pending):

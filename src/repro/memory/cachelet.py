@@ -151,7 +151,3 @@ class CacheletPair:
         if len(self.modes) == 1:
             # with a single mode there is nothing to inherit; start cold
             self.modes[0].clear()
-
-    def clear_all(self) -> None:
-        for cachelet in self.modes:
-            cachelet.clear()

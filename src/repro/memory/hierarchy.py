@@ -86,10 +86,6 @@ class _PendingPrefetches:
         self.stats.late += 1
         return ready - cycle
 
-    def clear(self) -> None:
-        self.stats.useless += len(self.ready_at)
-        self.ready_at.clear()
-
 
 class MemoryHierarchy:
     """Two-level cache hierarchy with prefetch timeliness tracking."""
@@ -200,27 +196,3 @@ class MemoryHierarchy:
         """The prefetch-timeliness counters for side ``"i"`` or ``"d"``."""
         return self._pending[side].stats
 
-    def publish_metrics(self, registry) -> None:
-        """Fold the demand-cache hit/miss and prefetch-timeliness counters
-        into a :class:`~repro.obs.metrics.MetricsRegistry` (called once per
-        run when metrics are enabled — the hierarchy keeps these counters
-        anyway, so demand accesses pay nothing for observability)."""
-        for cache in (self.l1i, self.l1d, self.l2):
-            stats = cache.stats
-            label = cache.name.lower().replace("-", "")
-            registry.inc(f"mem.{label}.hits", stats.accesses - stats.misses)
-            registry.inc(f"mem.{label}.misses", stats.misses)
-        for side in ("i", "d"):
-            stats = self._pending[side].stats
-            registry.inc(f"mem.prefetch.{side}.issued", stats.issued)
-            registry.inc(f"mem.prefetch.{side}.useful", stats.useful)
-            registry.inc(f"mem.prefetch.{side}.late", stats.late)
-            registry.inc(f"mem.prefetch.{side}.useless", stats.useless)
-        if self.bandwidth_stall_cycles:
-            registry.inc("mem.bandwidth_stall_cycles",
-                         int(self.bandwidth_stall_cycles))
-
-    def drop_pending(self, side: str) -> None:
-        """Discard unconsumed prefetches (used between events when recorded
-        hints are known to be stale)."""
-        self._pending[side].clear()

@@ -1,31 +1,17 @@
-"""Observability for the reproduction: metrics, run logs, progress.
+"""Observability for the reproduction: run logs, progress, stats.
 
-``repro.obs`` gives every subsystem one lightweight way to account for
-what it did, without taxing the simulator hot loops when nobody is
-looking:
+The JSONL run log is the one channel through which a run accounts for
+itself; every process that simulates, parent or pool worker, appends to
+the same log:
 
-* :mod:`repro.obs.metrics` — a process-wide registry of counters, gauges
-  and histograms whose default implementation is a zero-cost no-op
-  (enable with ``REPRO_METRICS=1`` or :func:`enable_metrics`);
 * :mod:`repro.obs.runlog` — structured JSONL run logs, one record per
-  simulation, written atomically next to the result cache;
+  simulation request, retry, failed task and quarantined artifact;
 * :mod:`repro.obs.progress` — a tqdm-free stderr progress line for grid
   fan-outs;
 * :mod:`repro.obs.stats` — aggregation of the JSONL logs into the
   ``repro stats`` report.
 """
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-    disable_metrics,
-    enable_metrics,
-    get_registry,
-    set_registry,
-)
 from repro.obs.progress import ProgressLine
 from repro.obs.runlog import (
     RUNLOG_SCHEMA,
@@ -36,20 +22,11 @@ from repro.obs.runlog import (
 from repro.obs.stats import format_table, summarize
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullMetricsRegistry",
     "ProgressLine",
     "RUNLOG_SCHEMA",
     "RunLogWriter",
     "default_log_dir",
-    "disable_metrics",
-    "enable_metrics",
     "format_table",
-    "get_registry",
     "iter_records",
-    "set_registry",
     "summarize",
 ]

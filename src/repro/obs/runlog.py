@@ -1,8 +1,9 @@
 """Structured JSONL run logs for the experiment harness.
 
 One record per simulation (plus one per worker retry) is appended to
-``runs.jsonl`` in the log directory — by default ``<cache-dir>/logs``,
-overridable with ``REPRO_LOG_DIR``. Each line is a self-contained JSON
+``runs.jsonl`` in the log directory — the runner's ``log_dir`` argument
+or ``REPRO_LOG_DIR``; ``repro stats`` reads ``REPRO_LOG_DIR``, else
+``<cache-dir>/logs``. Each line is a self-contained JSON
 object, so the log survives concurrent writers (parent and worker
 processes append whole lines with ``O_APPEND``) and partial/corrupt lines
 are simply skipped on read. ``repro stats`` aggregates these logs into

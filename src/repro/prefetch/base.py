@@ -22,12 +22,3 @@ class Prefetcher(abc.ABC):
     def reset(self) -> None:
         """Clear learned state (default: nothing to clear)."""
 
-    def metrics_snapshot(self) -> dict[str, float]:
-        """Occupancy/utilisation gauges for the metrics registry.
-
-        Published once per run when metrics are enabled — prefetchers
-        already maintain this state for prediction, so observing it costs
-        the hot loop nothing. Default: no gauges.
-        """
-        return {}
-

@@ -110,9 +110,3 @@ class EfetchPrefetcher(Prefetcher):
         self._table.clear()
         self._context = 0
         self._stack.clear()
-
-    def metrics_snapshot(self) -> dict[str, float]:
-        """Learned-context count and total recorded footprint blocks."""
-        return {"prefetch.efetch.contexts": len(self._table),
-                "prefetch.efetch.footprint_blocks":
-                    sum(len(fp) for fp in self._table.values())}

@@ -104,7 +104,3 @@ class PifPrefetcher(Prefetcher):
         self._index.clear()
         self._replay_pos = None
         self._replayed = 0
-
-    def metrics_snapshot(self) -> dict[str, float]:
-        """Index size (distinct blocks with a recorded position)."""
-        return {"prefetch.pif.index_entries": len(self._index)}

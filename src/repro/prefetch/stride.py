@@ -65,10 +65,3 @@ class StridePrefetcher(Prefetcher):
 
     def reset(self) -> None:
         self._table.clear()
-
-    def metrics_snapshot(self) -> dict[str, float]:
-        """Table occupancy and established-confidence entry count."""
-        confident = sum(1 for e in self._table.values()
-                        if e.confidence >= self.confidence_threshold)
-        return {"prefetch.stride.table_entries": len(self._table),
-                "prefetch.stride.confident_entries": confident}

@@ -4,7 +4,7 @@ Every durable artifact the harness writes — ``.espt`` traces, result-cache
 JSON, grid manifests — can be hit by bit-flips, torn writes, or partial
 sweeps. This package makes that corruption *detectable* (content
 checksums, :mod:`repro.resilience.integrity`), *visible* (quarantine
-directory, ``cache.corrupt`` metrics, ``corrupt`` run-log records) and
+directory, ``corrupt`` run-log records) and
 *recoverable* (regeneration, and resumable grid manifests via
 :mod:`repro.resilience.manifest`). The task is the recovery unit: a
 worker lost mid-simulation — killed, hung, or out of memory — re-runs

@@ -33,8 +33,6 @@ import os
 import warnings
 from pathlib import Path
 
-from repro.obs.metrics import get_registry
-
 _FAULTS_ENV = "REPRO_FAULTS"
 
 #: the fault kinds the harness wires up (unknown kinds in a spec are
@@ -84,10 +82,7 @@ class FaultPlan:
         digest = hashlib.sha256(
             f"{self.seed}|{kind}|{token}|{n}".encode()).digest()
         draw = int.from_bytes(digest[:8], "big") / 2 ** 64
-        if draw < rate:
-            get_registry().inc(f"faults.{kind}")
-            return True
-        return False
+        return draw < rate
 
     def position(self, token: str, size: int) -> int:
         """A seeded byte position in ``[0, size)`` for ``token``."""

@@ -46,29 +46,29 @@ def wrap_result(result: dict) -> str:
                       sort_keys=True, separators=(",", ":"))
 
 
-def unwrap_result(text: str) -> tuple[dict, bool]:
-    """Parse and verify a result envelope written by :func:`wrap_result`.
+def unwrap_result(text: str) -> dict:
+    """Parse and verify a result envelope written by :func:`wrap_result`,
+    returning the result dict.
 
-    Returns ``(result, verified)``. Pre-digest cache entries (a bare
-    result object with no envelope) are still readable for backward
-    compatibility and return ``verified=False``. Raises
-    :class:`IntegrityError` on a digest mismatch and
+    Raises :class:`IntegrityError` on a digest mismatch or a missing
+    envelope — every current cache key postdates the envelope, so a bare
+    object under one is damage or a foreign write — and
     :class:`json.JSONDecodeError` on torn/garbled text.
     """
     parsed = json.loads(text)
     if not isinstance(parsed, dict):
         raise IntegrityError("result envelope is not a JSON object")
-    if "digest" in parsed and "result" in parsed:
-        result = parsed["result"]
-        if not isinstance(result, dict):
-            raise IntegrityError("result payload is not a JSON object")
-        actual = payload_digest(canonical_json(result))
-        if actual != parsed["digest"]:
-            raise IntegrityError(
-                f"result digest mismatch: stored {parsed['digest']!r}, "
-                f"computed {actual!r}")
-        return result, True
-    return parsed, False  # legacy pre-envelope entry
+    if "digest" not in parsed or "result" not in parsed:
+        raise IntegrityError("result entry has no digest envelope")
+    result = parsed["result"]
+    if not isinstance(result, dict):
+        raise IntegrityError("result payload is not a JSON object")
+    actual = payload_digest(canonical_json(result))
+    if actual != parsed["digest"]:
+        raise IntegrityError(
+            f"result digest mismatch: stored {parsed['digest']!r}, "
+            f"computed {actual!r}")
+    return result
 
 
 #: per-process uniquifier for quarantine filenames

@@ -33,7 +33,6 @@ import os
 import time
 from pathlib import Path
 
-from repro.obs.metrics import get_registry
 from repro.resilience.integrity import (IntegrityError, canonical_json,
                                         payload_digest, quarantine)
 
@@ -152,7 +151,7 @@ class GridManifest:
     @classmethod
     def start(cls, directory: Path | str, tasks: list[dict], *,
               scale: float, seed: int, label: str | None = None,
-              done=()) -> "GridManifest":
+              done=(), on_corrupt=None) -> "GridManifest":
         """Write the manifest of a batch that is starting: the ``done``
         keys (cache hits) as ``done``, every other task ``pending``.
 
@@ -160,8 +159,9 @@ class GridManifest:
         ``config_digest`` and ``config`` (a :func:`config_to_dict` dict).
         An earlier manifest of the same grid is replaced, not merged: the
         result cache records which of its tasks finished. One that fails
-        its digest check is quarantined first. This write raises on
-        failure, so a read-only cache gets no manifest.
+        its digest check is first passed to ``on_corrupt`` (default:
+        quarantined under ``quarantine/`` beside ``directory``). This
+        write raises on failure, so a read-only cache gets no manifest.
         """
         directory = Path(directory)
         gid, path = cls._locate(directory, tasks, scale, seed)
@@ -169,10 +169,10 @@ class GridManifest:
             try:
                 cls.load(path)
             except (IntegrityError, ValueError, KeyError, OSError):
-                registry = get_registry()
-                registry.inc("cache.corrupt")
-                registry.inc("cache.manifest.corrupt")
-                quarantine(path, directory.parent / "quarantine")
+                if on_corrupt is not None:
+                    on_corrupt(path)
+                else:
+                    quarantine(path, directory.parent / "quarantine")
         done = set(done)
         records = {
             task["key"]: {

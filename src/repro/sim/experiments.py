@@ -53,13 +53,12 @@ Crash safety: artifacts read back from disk are verified — ``.espt``
 traces by their CRC32 footer, result-cache entries by the digest envelope
 of :mod:`repro.resilience.integrity`, grid manifests by an embedded body
 digest. A failed check quarantines the artifact under
-``<cache>/quarantine/`` (never a silent delete), bumps the
-``cache.corrupt`` metric, appends a ``corrupt`` run-log record, and
-regenerates. Every ``run_many`` batch records a grid manifest under
-``<cache>/manifests/``, written atomically when the batch starts and
-when it ends. The digest-checked result cache records which tasks
-finished, so an interrupted campaign, which keeps its incomplete start
-manifest, resumes from where it stopped via
+``<cache>/quarantine/`` (never a silent delete), appends a ``corrupt``
+run-log record, and regenerates. Every ``run_many`` batch records a
+grid manifest under ``<cache>/manifests/``, written atomically when the
+batch starts and when it ends. The digest-checked result cache records
+which tasks finished, so an interrupted campaign, which keeps its
+incomplete start manifest, resumes from where it stopped via
 :meth:`ExperimentRunner.resume_grid` / ``repro run --resume``. The
 ``REPRO_FAULTS`` spec (see :mod:`repro.resilience.faults`) injects
 deterministic corruption, torn writes, worker kills and grid interrupts
@@ -73,13 +72,13 @@ error, a kernel OOM kill as a worker death. The disk guard degrades
 before it fails: below ``REPRO_MIN_DISK_MB`` free, or after a cache
 write fails, the runner switches to no-write-cache mode.
 
-Observability: cache hits/misses/corruptions are counted in the
-:mod:`repro.obs.metrics` registry (no-op by default), every simulation
-request appends one structured JSONL record — key, config digest, seed,
-scale, timings, worker pid, cache disposition — via
-:mod:`repro.obs.runlog` (enabled by ``REPRO_LOG_DIR`` or whenever metrics
-are on), and grid fan-outs render a :class:`~repro.obs.progress.ProgressLine`
-on interactive stderr.
+Observability: the JSONL run log of :mod:`repro.obs.runlog` is the one
+channel. Every simulation request appends one record — key, config
+digest, seed, scale, timings, worker pid, cache disposition — and every
+retry, failed task and quarantined artifact one more, from the parent
+and from pool workers alike. It is on when ``REPRO_LOG_DIR`` or the
+``log_dir`` argument is set. Grid fan-outs render a
+:class:`~repro.obs.progress.ProgressLine` on interactive stderr.
 
 Scaling: the environment variable ``REPRO_SCALE`` (default 1.0) multiplies
 every app's event count; ``REPRO_SEED`` changes the workload seed. The cache
@@ -110,9 +109,8 @@ from repro.isa.tracefile import (
     load_trace,
     parse_trace,
 )
-from repro.obs.metrics import get_registry
 from repro.obs.progress import ProgressLine
-from repro.obs.runlog import RunLogWriter, default_log_dir
+from repro.obs.runlog import RunLogWriter
 from repro.resilience import (GridManifest, config_from_dict,
                               config_to_dict, get_fault_plan, quarantine,
                               unwrap_result, wrap_result)
@@ -392,9 +390,8 @@ class ExperimentRunner:
         task attempt; ``max_attempts`` / ``retry_backoff`` (or
         ``REPRO_MAX_ATTEMPTS`` / ``REPRO_RETRY_BACKOFF``) shape the retry
         schedule before a task is marked failed; ``log_dir`` forces JSONL
-        run-logging into that directory (default: on when
-        ``REPRO_LOG_DIR`` is set or metrics are enabled, next to the
-        result cache). ``min_disk_mb`` (``REPRO_MIN_DISK_MB``) sets the
+        run-logging into that directory (default: ``REPRO_LOG_DIR``,
+        off when unset). ``min_disk_mb`` (``REPRO_MIN_DISK_MB``) sets the
         disk guard's free-space floor."""
         self.scale = float(default_scale() if scale is None else scale)
         self.seed = default_seed() if seed is None else seed
@@ -414,14 +411,9 @@ class ExperimentRunner:
             if retry_backoff is None else max(0.0, float(retry_backoff))
         self.min_disk_mb = default_min_disk_mb() if min_disk_mb is None \
             else max(0, int(min_disk_mb))
-        self.metrics = get_registry()
-        if log_dir is not None:
-            self._runlog = RunLogWriter(log_dir)
-        elif os.environ.get(_LOG_DIR_ENV) or \
-                (self.metrics.enabled and use_disk_cache):
-            self._runlog = RunLogWriter(default_log_dir(self.cache_dir))
-        else:
-            self._runlog = RunLogWriter(None)
+        self._runlog = RunLogWriter(
+            log_dir if log_dir is not None
+            else os.environ.get(_LOG_DIR_ENV) or None)
         #: tries lost to a timeout or a dead worker, plus tasks requeued
         #: after a pool break or wedge took their worker
         self.retries = 0
@@ -461,13 +453,11 @@ class ExperimentRunner:
 
     def _note_corrupt(self, path: Path, artifact: str, key: str = "",
                       app: str = "") -> Path | None:
-        """Account for one corrupt on-disk artifact: bump the corruption
-        metrics, append a ``corrupt`` run-log record, and quarantine the
-        file (returns the quarantine destination; ``None`` means the move
-        failed — read-only cache — and regeneration overwrites in place).
+        """Account for one corrupt on-disk artifact: append a ``corrupt``
+        run-log record and quarantine the file (returns the quarantine
+        destination; ``None`` means the move failed — read-only cache —
+        and regeneration overwrites in place).
         """
-        self.metrics.inc("cache.corrupt")
-        self.metrics.inc(f"cache.{artifact}.corrupt")
         dest = quarantine(path, self.quarantine_dir)
         if self._runlog.enabled:
             self._runlog.write({
@@ -510,7 +500,6 @@ class ExperimentRunner:
         with a single warning per process."""
         global _warned_low_disk
         self.cache_writes_enabled = False
-        self.metrics.inc("runner.low_disk")
         if not _warned_low_disk:
             _warned_low_disk = True
             warnings.warn(f"{why}; cache writes disabled for this process",
@@ -527,25 +516,17 @@ class ExperimentRunner:
         an NTP step (in either direction) between a live writer stamping
         its mtime and this sweep running cannot make a seconds-old temp
         file look an hour stale. Files inside the tolerance band (stale
-        by the nominal cutoff, fresh by the hardened one) are counted in
-        ``cache.tmp_sweep_deferred`` rather than deleted — a persistent
-        non-zero count there means the clocks writing this cache
-        disagree by more than the sweep's slack.
+        by the nominal cutoff, fresh by the hardened one) are kept.
         """
         if not self.cache_dir.exists():
             return
         now = _anchored_now()
         cutoff = now - STALE_TMP_SECONDS - TMP_CLOCK_TOLERANCE_SECONDS
-        nominal_cutoff = now - STALE_TMP_SECONDS
         for pattern in ("*.tmp", "traces/*.tmp", "manifests/*.tmp"):
             for tmp in self.cache_dir.glob(pattern):
                 try:
-                    mtime = tmp.stat().st_mtime
-                    if mtime < cutoff:
+                    if tmp.stat().st_mtime < cutoff:
                         tmp.unlink()
-                        self.metrics.inc("cache.tmp_swept")
-                    elif mtime < nominal_cutoff:
-                        self.metrics.inc("cache.tmp_sweep_deferred")
                 except OSError:
                     pass  # vanished concurrently or unwritable: not ours
 
@@ -582,12 +563,10 @@ class ExperimentRunner:
         if self.use_disk_cache and path.exists():
             try:
                 trace = load_trace(path, profile=get_app(app))
-                self.metrics.inc("cache.trace.hit")
             except (ValueError, EOFError, OSError):
                 self._note_corrupt(path, "trace", app=app)
                 trace = None
         if trace is None:
-            self.metrics.inc("cache.trace.miss")
             generated = EventTrace(get_app(app), scale=self.scale,
                                    seed=self.seed)
             if self.use_disk_cache and self.cache_writes_enabled:
@@ -627,23 +606,23 @@ class ExperimentRunner:
             path = self.cache_dir / f"{key}.json"
             if path.exists():
                 try:
-                    payload, _verified = unwrap_result(path.read_text())
-                    result = SimResult.from_dict(payload)
+                    result = SimResult.from_dict(
+                        unwrap_result(path.read_text()))
                     self._memory[key] = result
                     return result
                 except (ValueError, TypeError, KeyError, OSError):
                     # IntegrityError and JSONDecodeError are ValueErrors:
-                    # torn writes, bit flips and stale layouts land here
+                    # torn writes, bit flips, entries without an
+                    # envelope and stale layouts land here
                     self._note_corrupt(path, "result", key=key)
         return None
 
     def _fetch_cached(self, key: str, app: str,
                       config: SimConfig) -> SimResult | None:
-        """Cache lookup with hit accounting (metrics + run log)."""
+        """Cache lookup that logs a hit as a ``run`` record."""
         in_memory = key in self._memory
         cached = self._load_cached(key)
         if cached is not None:
-            self.metrics.inc("cache.result.hit")
             self._log_run(key, app, config,
                           "memory" if in_memory else "disk")
         return cached
@@ -677,7 +656,6 @@ class ExperimentRunner:
                     f"cannot write {path.name} under {self.cache_dir} "
                     f"({exc})")
                 return
-            self.metrics.inc("cache.result.stored")
 
     # -- run logging -----------------------------------------------------------
 
@@ -710,8 +688,8 @@ class ExperimentRunner:
             "app": app, "reason": reason, "pid": os.getpid()})
 
     def _log_task_failed(self, key: str, app: str, reason: str) -> None:
-        """Append one ``task-failed`` record and bump its metric."""
-        self.metrics.inc("runner.task_failures")
+        """Append one ``task-failed`` record (no-op when logging is
+        disabled)."""
         if not self._runlog.enabled:
             return
         self._runlog.write({
@@ -724,7 +702,6 @@ class ExperimentRunner:
         cached = self._fetch_cached(key, app, config)
         if cached is not None:
             return cached
-        self.metrics.inc("cache.result.miss")
         result = self._simulate(app, config)
         trace_load_s, simulate_s = self._timings
         t0 = time.perf_counter()
@@ -770,7 +747,6 @@ class ExperimentRunner:
         ladder re-runs it."""
         self._pool_failures[key] = f"timeout after {self.task_timeout}s"
         self.retries += 1
-        self.metrics.inc("runner.task_timeouts")
         self._log_retry(key, app, "timeout")
 
     def _note_pool_break(self, key: str, app: str, fresh: bool) -> None:
@@ -781,7 +757,6 @@ class ExperimentRunner:
         if fresh:
             self._pool_failures[key] = "worker died"
             self.retries += 1
-            self.metrics.inc("runner.worker_deaths")
             self._log_retry(key, app, "worker-died")
         else:
             self._note_requeued(key, app)
@@ -791,7 +766,6 @@ class ExperimentRunner:
         break survivor, queue wedged behind abandoned stragglers): it
         completes serially instead."""
         self.retries += 1
-        self.metrics.inc("runner.tasks_requeued")
         self._log_retry(key, app, "requeued")
 
     def _note_error(self, key: str, app: str, exc: Exception) -> None:
@@ -801,15 +775,7 @@ class ExperimentRunner:
         it keeps failing) marks it failed instead of the one exception
         crashing the whole batch."""
         self._pool_failures[key] = f"{type(exc).__name__}: {exc}"
-        self.metrics.inc("runner.task_errors")
         self._log_retry(key, app, "error")
-
-    def _note_queue_wait(self, key: str, app: str,
-                         seconds: float) -> None:
-        """How long a task sat queued behind busy workers before it
-        started — observability only (``backend.queue_wait_s``), never
-        charged against the task's deadline."""
-        self.metrics.observe("backend.queue_wait_s", seconds)
 
     # -- grid batches ---------------------------------------------------------
 
@@ -924,7 +890,9 @@ class ExperimentRunner:
             return GridManifest.start(
                 self.manifest_dir, self._manifest_tasks(unique),
                 scale=self.scale, seed=self.seed, label=label,
-                done=results.keys())
+                done=results.keys(),
+                on_corrupt=lambda path: self._note_corrupt(path,
+                                                           "manifest"))
         except OSError:
             return None  # read-only cache: the campaign isn't resumable
 

@@ -49,7 +49,6 @@ from repro.isa.instructions import (
 )
 from repro.isa.stream import PackedStream
 from repro.memory import MemoryHierarchy
-from repro.obs.metrics import get_registry
 from repro.prefetch import (
     DcuPrefetcher,
     EfetchPrefetcher,
@@ -267,44 +266,7 @@ class Simulator:
         from repro.energy import compute_energy
 
         result.energy = compute_energy(result, config)
-        registry = get_registry()
-        if registry.enabled:
-            self._publish_metrics(registry)
         return result
-
-    def _publish_metrics(self, registry) -> None:
-        """Fold this run's counters into the metrics registry.
-
-        Called once per run, and only when metrics are enabled — the
-        no-op default costs the hot loop nothing beyond one attribute
-        check after the final event retires.
-        """
-        r = self.result
-        registry.inc("sim.runs")
-        registry.inc(f"sim.kernel.{self.kernel}")
-        registry.inc("sim.instructions", r.instructions)
-        registry.inc("sim.cycles", int(r.cycles))
-        registry.inc("sim.events", r.events)
-        registry.observe("sim.ipc", r.ipc)
-        registry.inc("branch.executed", r.branches)
-        registry.inc("branch.mispredicts", r.branch_mispredicts)
-        registry.inc("prefetch.i.issued", r.prefetches_issued_i)
-        registry.inc("prefetch.i.useful", r.prefetches_useful_i)
-        registry.inc("prefetch.i.late", r.prefetches_late_i)
-        registry.inc("prefetch.d.issued", r.prefetches_issued_d)
-        registry.inc("prefetch.d.useful", r.prefetches_useful_d)
-        registry.inc("prefetch.d.late", r.prefetches_late_d)
-        esp = r.esp
-        registry.inc("esp.mode_entries", esp.mode_entries)
-        registry.inc("esp.pre_instructions", esp.total_pre_instructions)
-        registry.inc("esp.hinted_events", esp.hinted_events)
-        registry.inc("esp.diverged_events", esp.diverged_events)
-        self.hierarchy.publish_metrics(registry)
-        for prefetcher in (self.nl_i, self.dcu, self.stride, self.efetch,
-                           self.pif):
-            if prefetcher is not None:
-                for name, value in prefetcher.metrics_snapshot().items():
-                    registry.set_gauge(name, value)
 
     # -- packed fast path --------------------------------------------------------
 

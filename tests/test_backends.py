@@ -25,7 +25,6 @@ import pytest
 
 import repro.sim.experiments as experiments_mod
 from repro.exec import jittered_backoff
-from repro.obs import metrics as metrics_mod
 from repro.obs.runlog import iter_records
 from repro.obs.stats import format_table, summarize
 from repro.sim import presets
@@ -69,14 +68,6 @@ def _dying_worker(app, config, scale, seed, cache_dir, use_disk_cache,
 def _pairs():
     return [(app, presets.by_name(name)) for name in CONFIGS
             for app in APPS]
-
-
-@pytest.fixture
-def recording_metrics():
-    registry = metrics_mod.MetricsRegistry()
-    previous = metrics_mod.set_registry(registry)
-    yield registry
-    metrics_mod.set_registry(previous)
 
 
 class TestBackendParity:
@@ -123,7 +114,7 @@ class TestBackendParity:
 
 class TestDeadlineFromTaskStart:
     def test_queued_tasks_survive_an_oversubscribed_pool(
-            self, tmp_path, monkeypatch, recording_metrics):
+            self, tmp_path, monkeypatch):
         """Five ~1s tasks through a deliberately oversubscribed
         two-worker pool, with a deadline each task's *runtime* beats
         comfortably but the last task's submit-to-finish wall time
@@ -133,22 +124,25 @@ class TestDeadlineFromTaskStart:
         monkeypatch.setattr("repro.sim.experiments._run_in_worker",
                             _napping_worker)
         pairs = _pairs() + [("bing", presets.nl_s())]
+        log_dir = tmp_path / "logs"
         runner = ExperimentRunner(cache_dir=tmp_path, scale=0.05, seed=0,
-                                  jobs=2, task_timeout=2.5, max_attempts=1)
+                                  jobs=2, task_timeout=2.5, max_attempts=1,
+                                  log_dir=log_dir)
+        t0 = time.monotonic()
         results = runner.run_many(pairs)
+        elapsed = time.monotonic() - t0
         assert [r.app for r in results] == [app for app, _ in pairs]
         assert runner.retries == 0  # nothing timed out, nothing requeued
-        counters = recording_metrics.snapshot()["counters"]
-        assert counters.get("runner.task_timeouts", 0) == 0
-        # the queue wait was observed, not charged: the task a worker
-        # ran third sat queued for two full naps
-        hist = recording_metrics.snapshot()["histograms"]
-        wait = hist["backend.queue_wait_s"]
-        assert wait["count"] == len(pairs)
-        assert wait["max"] > 2 * NAP_S
+        records = list(iter_records(log_dir))
+        assert not [r for r in records if r["kind"] == "retry"]
+        # every task ran in a worker, the last one submitted more than a
+        # deadline before it finished: its queue wait was not charged
+        assert [r["backend"] for r in records if r["kind"] == "run"] \
+            == ["process"] * len(pairs)
+        assert elapsed > runner.task_timeout
 
     def test_straggler_does_not_time_out_queued_siblings(
-            self, tmp_path, monkeypatch, recording_metrics):
+            self, tmp_path, monkeypatch):
         """Two wedged tasks pin both workers; the sibling queued behind
         them can never start. The stragglers are the ONLY timeouts — the
         sibling is handed back as ``requeued`` (the stall guard) and
@@ -173,9 +167,7 @@ class TestDeadlineFromTaskStart:
                                           []).append(record["reason"])
         assert set(reasons_by_app.get("bing", [])) == {"timeout"}
         # pixlr was never charged a timeout it didn't earn
-        assert set(reasons_by_app.get("pixlr", [])) == {"requeued"}
-        counters = recording_metrics.snapshot()["counters"]
-        assert counters.get("runner.tasks_requeued", 0) == 1
+        assert reasons_by_app.get("pixlr") == ["requeued"]
         # and it completed serially: its result is on disk for next time
         fresh = ExperimentRunner(cache_dir=tmp_path, scale=0.05, seed=0,
                                  jobs=1, log_dir=log_dir)
@@ -188,24 +180,28 @@ class TestDeadlineFromTaskStart:
 
 class TestPoolBreakAccounting:
     def test_one_pool_break_is_one_worker_death(self, tmp_path,
-                                                monkeypatch,
-                                                recording_metrics):
+                                                monkeypatch):
         """Every worker dying floods every in-flight future with
         ``BrokenProcessPool``; exactly ONE death is counted and the
         surviving tasks are ``requeued``, then completed serially."""
         monkeypatch.setattr("repro.sim.experiments._run_in_worker",
                             _dying_worker)
         baseline = presets.baseline()
+        log_dir = tmp_path / "logs"
         runner = ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0,
-                                  jobs=2)
+                                  jobs=2, log_dir=log_dir)
         pairs = [("bing", baseline), ("pixlr", baseline),
                  ("bing", presets.nl())]
         results = runner.run_many(pairs)
         assert [r.app for r in results] == ["bing", "pixlr", "bing"]
-        counters = recording_metrics.snapshot()["counters"]
-        assert counters.get("runner.worker_deaths", 0) == 1
-        assert counters.get("runner.tasks_requeued", 0) == len(pairs) - 1
+        records = list(iter_records(log_dir))
+        reasons = [r["reason"] for r in records if r["kind"] == "retry"]
+        assert reasons.count("worker-died") == 1
+        assert reasons.count("requeued") == len(pairs) - 1
         assert runner.retries == len(pairs)
+        # the parent completed every task serially
+        assert [r["backend"] for r in records if r["kind"] == "run"] \
+            == ["serial"] * len(pairs)
 
 
 class TestBackendConfiguration:
@@ -286,8 +282,7 @@ class TestBackendObservability:
         assert record["backend"] == "serial"
 
     def test_worker_error_is_handed_back_not_raised(self, tmp_path,
-                                                    monkeypatch,
-                                                    recording_metrics):
+                                                    monkeypatch):
         """A genuine exception inside a pool task lands in the serial
         ladder's bookkeeping (``error`` retries, ``GridTaskError`` after
         the budget) at every worker count, instead of crashing
@@ -297,14 +292,16 @@ class TestBackendObservability:
 
         monkeypatch.setattr(ExperimentRunner, "_simulate", poisoned)
         for jobs in (1, 2):
+            log_dir = tmp_path / f"logs{jobs}"
             runner = ExperimentRunner(cache_dir=tmp_path / f"jobs{jobs}",
                                       scale=0.1, seed=0, jobs=jobs,
-                                      max_attempts=1, retry_backoff=0.0)
+                                      max_attempts=1, retry_backoff=0.0,
+                                      log_dir=log_dir)
             with pytest.raises(GridTaskError) as info:
                 runner.run_many([("bing", presets.baseline())])
             assert "injected simulation bug" in str(info.value)
-        assert recording_metrics.snapshot()["counters"].get(
-            "runner.task_errors", 0) >= 2
+            assert [r["reason"] for r in iter_records(log_dir)
+                    if r["kind"] == "retry"] == ["error"]
 
 
 class TestJitteredBackoff:

@@ -96,14 +96,6 @@ class TestCacheletPair:
         pair.promote()
         assert pair[0].contains(99)
 
-    def test_clear_all(self):
-        pair = CacheletPair((512, 128), 12)
-        pair[0].access(1)
-        pair[1].access(2)
-        pair.clear_all()
-        assert not pair[0].contains(1)
-        assert not pair[1].contains(2)
-
     def test_len(self):
         assert len(CacheletPair((512, 128))) == 2
 

@@ -4,9 +4,9 @@ Every test here runs a real (apps × configs) grid with a ``REPRO_FAULTS``
 spec active — seeded byte flips on freshly written traces, torn
 result-cache writes, worker kills, injected mid-grid interrupts — and
 asserts the final results equal a clean serial run bit for bit, with the
-corruption events visible in metrics. The specs are deterministic
-(decisions are pure functions of seed/kind/token/draw), so these storms
-replay identically on every machine.
+corruption events and lost workers visible in the run log. The specs are
+deterministic (decisions are pure functions of seed/kind/token/draw), so
+these storms replay identically on every machine.
 """
 
 import os
@@ -15,8 +15,8 @@ from functools import partial
 
 import pytest
 
-from repro.obs import metrics as metrics_mod
 from repro.obs.runlog import iter_records
+from repro.obs.stats import summarize
 from repro.resilience import faults
 from repro.sim import presets
 from repro.sim.experiments import ExperimentRunner
@@ -46,14 +46,6 @@ def clean_reference(tmp_path_factory):
         faults.set_fault_plan(previous)
 
 
-@pytest.fixture
-def recording_metrics():
-    registry = metrics_mod.MetricsRegistry()
-    previous = metrics_mod.set_registry(registry)
-    yield registry
-    metrics_mod.set_registry(previous)
-
-
 def _arm(monkeypatch, spec):
     """Install ``spec`` as both the env value (workers re-parse it) and
     the parent's active plan."""
@@ -64,43 +56,45 @@ def _arm(monkeypatch, spec):
 class TestCorruptionStorms:
     def test_trace_and_result_corruption_serial(self, tmp_path,
                                                 monkeypatch,
-                                                clean_reference,
-                                                recording_metrics):
+                                                clean_reference):
         """Heavy trace corruption + torn result writes, serially: results
-        bit-identical, artifacts quarantined, events metered."""
+        bit-identical, artifacts quarantined, events logged."""
         _arm(monkeypatch, "corrupt_trace:0.6,torn_write:0.6,seed:11")
+        log_dir = tmp_path / "logs"
         chaos = ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0,
-                                 jobs=1)
+                                 jobs=1, log_dir=log_dir)
         got = [r.to_dict() for r in chaos.run_many(_pairs())]
         assert got == clean_reference
         # a second pass over the battered cache must also be identical —
         # corrupt survivors are detected, never deserialised wrongly
         again = ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0,
-                                 jobs=1)
+                                 jobs=1, log_dir=log_dir)
         assert [r.to_dict() for r in again.run_many(_pairs())] \
             == clean_reference
-        counters = recording_metrics.snapshot()["counters"]
-        assert counters.get("faults.corrupt_trace", 0) \
-            + counters.get("faults.torn_write", 0) >= 1
-        assert counters.get("cache.corrupt", 0) >= 1
+        assert summarize(iter_records(log_dir))["corruptions"] >= 1
         assert list((tmp_path / "quarantine").glob("*.quarantined"))
 
     def test_worker_kill_storm_parallel(self, tmp_path, monkeypatch,
-                                        clean_reference,
-                                        recording_metrics):
+                                        clean_reference):
         """Workers killed mid-grid (``os._exit``): the pool breaks, the
         parent completes the stragglers, results stay bit-identical."""
         _arm(monkeypatch, "kill_worker:0.5,seed:2")
+        log_dir = tmp_path / "logs"
         # worker-kill faults only fire inside process-pool workers: pin
         # jobs=2 so an ambient REPRO_JOBS can't defuse the storm
         chaos = ExperimentRunner(cache_dir=tmp_path, scale=0.1, seed=0,
                                  jobs=2,
                                  task_timeout=120.0,
-                                 max_attempts=6, retry_backoff=0.01)
+                                 max_attempts=6, retry_backoff=0.01,
+                                 log_dir=log_dir)
         got = [r.to_dict() for r in chaos.run_many(_pairs())]
         assert got == clean_reference
-        counters = recording_metrics.snapshot()["counters"]
-        assert counters.get("runner.worker_deaths", 0) >= 1
+        records = list(iter_records(log_dir))
+        assert [r["reason"] for r in records
+                if r["kind"] == "retry"].count("worker-died") >= 1
+        # every task has a run record, from a worker or the parent
+        assert len({r["key"] for r in records if r["kind"] == "run"}) \
+            == len(_pairs())
 
     def test_combined_storm_parallel(self, tmp_path, monkeypatch,
                                      clean_reference):
@@ -176,8 +170,7 @@ class TestMidSimResilience:
         assert runner.retries >= 1
 
     def test_pool_hang_is_retried_serially_at_attempt_2(
-            self, tmp_path, monkeypatch, clean_reference,
-            recording_metrics):
+            self, tmp_path, monkeypatch, clean_reference):
         """The pool's try at a task is attempt 1. A task hung in the pool
         times out once and its serial retry runs as attempt 2, so a fault
         keyed to attempt 1 does not fire again on the retry."""
@@ -187,10 +180,12 @@ class TestMidSimResilience:
         monkeypatch.setattr("repro.sim.experiments._run_in_worker",
                             partial(_lost_after_start_worker, mode="hang",
                                     attempts_log=str(attempts_log)))
+        log_dir = tmp_path / "logs"
         runner = ExperimentRunner(cache_dir=tmp_path / "cache", scale=0.1,
                                   seed=0, jobs=2,
                                   task_timeout=LOST_TIMEOUT_S,
-                                  max_attempts=6, retry_backoff=0.01)
+                                  max_attempts=6, retry_backoff=0.01,
+                                  log_dir=log_dir)
         got = [r.to_dict() for r in runner.run_many(_pairs())]
         assert got == clean_reference
         calls = attempts_log.read_text().split("\n")[:-1]
@@ -201,8 +196,9 @@ class TestMidSimResilience:
                    if call.startswith("pixlr"))
         # only the pool's tries timed out (concurrently: one deadline of
         # wall time); no serial retry hung again
-        counters = recording_metrics.snapshot()["counters"]
-        assert counters.get("runner.task_timeouts", 0) == hung
+        reasons = [r["reason"] for r in iter_records(log_dir)
+                   if r["kind"] == "retry"]
+        assert reasons.count("timeout") == hung
 
     def test_worker_memory_error_is_retried_bit_identical(
             self, tmp_path, monkeypatch, clean_reference):

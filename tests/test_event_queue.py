@@ -59,20 +59,6 @@ class TestEnqueueDequeue:
 
 
 class TestFlags:
-    def test_mark_incorrect(self):
-        q = HardwareEventQueue(2)
-        q.enqueue(7, 0)
-        q.enqueue(8, 0)
-        q.mark_incorrect(8)
-        assert not q.slot(0).incorrect_prediction
-        assert q.slot(1).incorrect_prediction
-
-    def test_mark_incorrect_absent_event_noop(self):
-        q = HardwareEventQueue(2)
-        q.enqueue(7, 0)
-        q.mark_incorrect(99)
-        assert not q.slot(0).incorrect_prediction
-
     def test_clear(self):
         q = HardwareEventQueue(2)
         q.enqueue(1, 0)

@@ -264,28 +264,19 @@ class TestStaleTmpSweep:
 
     def test_near_cutoff_files_deferred_not_deleted(self, tmp_path):
         """A file inside the tolerance band (stale by the nominal
-        cutoff, fresh by the hardened one) survives the sweep and is
-        counted in ``cache.tmp_sweep_deferred``."""
-        from repro.obs import metrics as metrics_mod
-
-        registry = metrics_mod.MetricsRegistry()
-        previous = metrics_mod.set_registry(registry)
-        try:
-            near = tmp_path / "near.json.222.tmp"
-            near.write_text("{near-cutoff")
-            old = time.time() - STALE_TMP_SECONDS - 60
-            os.utime(near, (old, old))
-            gone = tmp_path / "gone.json.333.tmp"
-            gone.write_text("{orphan")
-            self._age(gone)
-            ExperimentRunner(cache_dir=tmp_path, scale=0.25, seed=0)
-            counters = registry.snapshot()["counters"]
-            assert near.exists()
-            assert not gone.exists()
-            assert counters.get("cache.tmp_sweep_deferred") == 1
-            assert counters.get("cache.tmp_swept") == 1
-        finally:
-            metrics_mod.set_registry(previous)
+        cutoff, fresh by the hardened one) survives the sweep."""
+        near = tmp_path / "near.json.222.tmp"
+        near.write_text("{near-cutoff")
+        old = time.time() - STALE_TMP_SECONDS - 60
+        os.utime(near, (old, old))
+        gone = tmp_path / "gone.json.333.tmp"
+        gone.write_text("{orphan")
+        self._age(gone)
+        ExperimentRunner(cache_dir=tmp_path, scale=0.25, seed=0)
+        assert near.exists()
+        assert not gone.exists()
+        assert sorted(p.name for p in tmp_path.glob("*.tmp")) \
+            == ["near.json.222.tmp"]
 
 
 class TestTraceCache:

@@ -92,14 +92,6 @@ class TestPrefetchTimeliness:
         hier.prefetch("i", 50, cycle=1)
         assert hier.prefetch_stats("i").issued == 1
 
-    def test_drop_pending_counts_useless(self, hier):
-        hier.prefetch("d", 50, cycle=0)
-        hier.prefetch("d", 51, cycle=0)
-        hier.drop_pending("d")
-        assert hier.prefetch_stats("d").useless == 2
-        res = hier.access_d(50, cycle=500)
-        assert not res.prefetched
-
     def test_pending_capacity_eviction(self):
         hier = MemoryHierarchy()
         hier._pending["i"].capacity = 4

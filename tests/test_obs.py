@@ -1,11 +1,9 @@
-"""Observability layer: metrics registry, JSONL run logs, progress,
-stats aggregation.
+"""Observability layer: JSONL run logs, progress, stats aggregation.
 
-The contracts pinned here: the no-op default registry records nothing and
-changes no simulation result (metrics on/off parity), run logs round-trip
-their schema and tolerate corruption, and ``summarize`` turns a log
-directory into the cache-hit/throughput/retry numbers ``repro stats``
-reports.
+The contracts pinned here: run logging changes no simulation result,
+run logs round-trip their schema and tolerate corruption, every cache
+disposition is logged, and ``summarize`` turns a log directory into the
+cache-hit/throughput/retry numbers ``repro stats`` reports.
 """
 
 import io
@@ -13,12 +11,6 @@ import json
 
 import pytest
 
-from repro.obs import metrics as metrics_mod
-from repro.obs.metrics import (
-    MetricsRegistry,
-    NullMetricsRegistry,
-    get_registry,
-)
 from repro.obs.progress import ProgressLine
 from repro.obs.runlog import RUNLOG_SCHEMA, RunLogWriter, iter_records
 from repro.obs.stats import format_table, summarize
@@ -27,119 +19,40 @@ from repro.sim.experiments import ExperimentRunner
 from repro.sim.experiments import _run_in_worker as _real_run_in_worker
 
 
-@pytest.fixture
-def recording(monkeypatch):
-    """Install a fresh recording registry for the duration of one test."""
-    registry = MetricsRegistry()
-    monkeypatch.setattr(metrics_mod, "_REGISTRY", registry)
-    return registry
-
-
-@pytest.fixture
-def null_registry(monkeypatch):
-    """Force the no-op registry regardless of REPRO_METRICS."""
-    registry = NullMetricsRegistry()
-    monkeypatch.setattr(metrics_mod, "_REGISTRY", registry)
-    return registry
-
-
-class TestMetricsRegistry:
-    def test_counters_accumulate(self):
-        reg = MetricsRegistry()
-        reg.inc("a")
-        reg.inc("a", 4)
-        assert reg.counter("a").value == 5
-
-    def test_gauge_last_write_wins(self):
-        reg = MetricsRegistry()
-        reg.set_gauge("g", 1.0)
-        reg.set_gauge("g", 7.5)
-        assert reg.gauge("g").value == 7.5
-
-    def test_histogram_summary(self):
-        reg = MetricsRegistry()
-        for v in (2.0, 4.0, 12.0):
-            reg.observe("h", v)
-        h = reg.histogram("h")
-        assert h.count == 3
-        assert h.mean == 6.0
-        assert h.minimum == 2.0
-        assert h.maximum == 12.0
-
-    def test_snapshot_is_json_serialisable(self):
-        reg = MetricsRegistry()
-        reg.inc("c", 2)
-        reg.set_gauge("g", 1.5)
-        reg.observe("h", 3.0)
-        snap = json.loads(json.dumps(reg.snapshot()))
-        assert snap["counters"]["c"] == 2
-        assert snap["gauges"]["g"] == 1.5
-        assert snap["histograms"]["h"]["count"] == 1
-
-    def test_null_registry_records_nothing(self):
-        reg = NullMetricsRegistry()
-        reg.inc("a", 5)
-        reg.set_gauge("g", 1.0)
-        reg.observe("h", 2.0)
-        assert not reg.enabled
-        snap = reg.snapshot()
-        assert snap["counters"] == {}
-        assert snap["gauges"] == {}
-        assert snap["histograms"] == {}
-
-    def test_env_enables_recording(self, monkeypatch):
-        monkeypatch.setattr(metrics_mod, "_REGISTRY", None)
-        monkeypatch.setenv("REPRO_METRICS", "1")
-        assert get_registry().enabled
-
-    def test_env_default_is_noop(self, monkeypatch):
-        monkeypatch.setattr(metrics_mod, "_REGISTRY", None)
-        monkeypatch.delenv("REPRO_METRICS", raising=False)
-        assert not get_registry().enabled
-
-    def test_reset_drops_instruments(self):
-        reg = MetricsRegistry()
-        reg.inc("a")
-        reg.reset()
-        assert reg.snapshot()["counters"] == {}
-
-
-class TestMetricsParity:
-    def test_results_identical_with_and_without_metrics(self, tmp_path,
+class TestRunLogParity:
+    def test_results_identical_with_and_without_run_log(self, tmp_path,
                                                         monkeypatch):
-        """Recording metrics must not perturb simulation results."""
+        """Logging every run must not perturb simulation results."""
+        monkeypatch.delenv("REPRO_LOG_DIR", raising=False)
         config = presets.esp_nl()
-        monkeypatch.setattr(metrics_mod, "_REGISTRY",
-                            NullMetricsRegistry())
         off = ExperimentRunner(cache_dir=tmp_path / "off", scale=0.25,
                                seed=0).run("pixlr", config)
-        registry = MetricsRegistry()
-        monkeypatch.setattr(metrics_mod, "_REGISTRY", registry)
+        log_dir = tmp_path / "logs"
         on = ExperimentRunner(cache_dir=tmp_path / "on", scale=0.25,
-                              seed=0).run("pixlr", config)
+                              seed=0, log_dir=log_dir).run("pixlr", config)
         assert off.to_dict() == on.to_dict()
-        counters = registry.snapshot()["counters"]
-        assert counters["sim.runs"] == 1
-        assert counters["sim.instructions"] == on.instructions
-        assert counters["esp.context_switches"] > 0
-        assert counters["mem.l1i.hits"] > 0
-        assert counters["cache.result.miss"] == 1
+        [record] = iter_records(log_dir)
+        assert record["cache"] == "simulated"
 
-    def test_cache_counters_track_dispositions(self, tmp_path, recording):
-        runner = ExperimentRunner(cache_dir=tmp_path, scale=0.25, seed=0)
+    def test_cache_dispositions_and_trace_reuse(self, tmp_path):
+        log_dir = tmp_path / "logs"
+        runner = ExperimentRunner(cache_dir=tmp_path, scale=0.25, seed=0,
+                                  log_dir=log_dir)
         config = presets.baseline()
         runner.run("pixlr", config)   # result miss, trace recorded
         runner.run("pixlr", config)   # memory hit
-        fresh = ExperimentRunner(cache_dir=tmp_path, scale=0.25, seed=0)
+        [trace] = (tmp_path / "traces").glob("*.espt")
+        recorded = trace.stat().st_mtime_ns
+        fresh = ExperimentRunner(cache_dir=tmp_path, scale=0.25, seed=0,
+                                 log_dir=log_dir)
         fresh.run("pixlr", config)    # disk hit, no trace needed
         # a new config misses the result cache but reuses the on-disk trace
         fresh.run("pixlr", presets.esp_nl())
-        counters = recording.snapshot()["counters"]
-        assert counters["cache.result.miss"] == 2
-        assert counters["cache.result.hit"] == 2
-        assert counters["cache.result.stored"] == 2
-        assert counters["cache.trace.miss"] == 1
-        assert counters["cache.trace.hit"] == 1
+        assert [r["cache"] for r in iter_records(log_dir)] \
+            == ["simulated", "memory", "disk", "simulated"]
+        assert len(list(tmp_path.glob("*.json"))) == 2
+        assert trace.stat().st_mtime_ns == recorded
+        assert list((tmp_path / "traces").glob("*.espt")) == [trace]
 
 
 class TestRunLogWriter:
@@ -182,7 +95,7 @@ class TestRunLogWriter:
 
 
 class TestRunnerLogging:
-    def test_one_record_per_simulation(self, tmp_path, null_registry):
+    def test_one_record_per_simulation(self, tmp_path):
         log_dir = tmp_path / "logs"
         runner = ExperimentRunner(cache_dir=tmp_path, scale=0.25, seed=0,
                                   log_dir=log_dir)
@@ -197,8 +110,7 @@ class TestRunnerLogging:
                       "store_s", "ts"):
             assert all(field in r for r in records), field
 
-    def test_pool_workers_log_their_peak_rss(self, tmp_path,
-                                             null_registry):
+    def test_pool_workers_log_their_peak_rss(self, tmp_path):
         log_dir = tmp_path / "logs"
         runner = ExperimentRunner(cache_dir=tmp_path, scale=0.05, seed=0,
                                   jobs=2, log_dir=log_dir)
@@ -210,8 +122,7 @@ class TestRunnerLogging:
         assert by_backend["process"]["peak_rss_mb"] > 0
         assert "peak_rss_mb" not in by_backend["serial"]
 
-    def test_cache_hits_logged_with_disposition(self, tmp_path,
-                                                null_registry):
+    def test_cache_hits_logged_with_disposition(self, tmp_path):
         log_dir = tmp_path / "logs"
         config = presets.baseline()
         runner = ExperimentRunner(cache_dir=tmp_path, scale=0.25, seed=0,
@@ -225,19 +136,19 @@ class TestRunnerLogging:
                         if r["kind"] == "run"]
         assert dispositions == ["simulated", "memory", "disk"]
 
-    def test_logging_off_by_default(self, tmp_path, null_registry,
-                                    monkeypatch):
+    def test_logging_off_by_default(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_LOG_DIR", raising=False)
         runner = ExperimentRunner(cache_dir=tmp_path, scale=0.25, seed=0)
         runner.run("bing", presets.baseline())
         assert not (tmp_path / "logs").exists()
 
-    def test_metrics_enable_logging_next_to_cache(self, tmp_path,
-                                                  recording, monkeypatch):
-        monkeypatch.delenv("REPRO_LOG_DIR", raising=False)
+    def test_log_dir_env_enables_logging(self, tmp_path, monkeypatch):
+        log_dir = tmp_path / "env-logs"
+        monkeypatch.setenv("REPRO_LOG_DIR", str(log_dir))
         runner = ExperimentRunner(cache_dir=tmp_path, scale=0.25, seed=0)
         runner.run("bing", presets.baseline())
-        assert list(iter_records(tmp_path / "logs"))
+        assert [r["cache"] for r in iter_records(log_dir)] == ["simulated"]
+        assert not (tmp_path / "logs").exists()
 
 
 class TestProgressLine:
@@ -349,7 +260,7 @@ class TestStatsAggregation:
 
 class TestWorkerRetryPath:
     def test_poisoned_worker_fails_once_then_batch_completes(
-            self, tmp_path, null_registry, monkeypatch):
+            self, tmp_path, monkeypatch):
         """Inject a worker that dies on its first task: the batch must
         still return every result, and the retry must be recorded."""
         poison = tmp_path / "poison"

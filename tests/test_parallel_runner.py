@@ -151,8 +151,8 @@ class TestCacheIntegrity:
             assert result.to_dict() == reference
         cache_files = [p for p in tmp_path.glob("*.json")]
         assert len(cache_files) == 1
-        payload, verified = unwrap_result(cache_files[0].read_text())
-        assert verified  # freshly written entries carry a valid digest
+        # freshly written entries carry a valid digest envelope
+        payload = unwrap_result(cache_files[0].read_text())
         assert SimResult.from_dict(payload).to_dict() == reference
         assert not list(tmp_path.glob("*.tmp"))
 

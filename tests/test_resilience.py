@@ -3,7 +3,7 @@ and the disk guard.
 
 The contracts pinned here: every artifact the harness reads back from
 disk is verified, verification failures quarantine (never delete) and
-regenerate, corruption is visible in metrics and the run log, grid
+regenerate, corruption is visible in the run log, grid
 manifests survive interruption and resume exactly, fault-injection
 decisions replay deterministically from their spec, and a result-cache
 write that fails degrades the cache without failing the simulation.
@@ -16,8 +16,8 @@ import warnings
 
 import pytest
 
-from repro.obs import metrics as metrics_mod
 from repro.obs.runlog import iter_records
+from repro.obs.stats import summarize
 from repro.resilience import (FaultPlan, GridInterrupt, GridManifest,
                               IntegrityError, config_from_dict,
                               config_to_dict, payload_digest, quarantine,
@@ -31,15 +31,11 @@ from repro.sim.results import SimResult
 class TestResultEnvelope:
     def test_roundtrip_verifies(self):
         result = {"app": "bing", "cycles": 123.5, "nested": {"a": [1, 2]}}
-        payload, verified = unwrap_result(wrap_result(result))
-        assert payload == result
-        assert verified
+        assert unwrap_result(wrap_result(result)) == result
 
-    def test_legacy_bare_dict_loads_unverified(self):
-        legacy = {"app": "bing", "cycles": 1.0}
-        payload, verified = unwrap_result(json.dumps(legacy))
-        assert payload == legacy
-        assert not verified
+    def test_bare_dict_rejected(self):
+        with pytest.raises(IntegrityError):
+            unwrap_result(json.dumps({"app": "bing", "cycles": 1.0}))
 
     def test_tampered_body_detected(self):
         text = wrap_result({"cycles": 100})
@@ -65,8 +61,8 @@ class TestResultEnvelope:
     def test_digest_is_key_order_independent(self):
         a = payload_digest(json.dumps({"x": 1, "y": 2}, sort_keys=True,
                                       separators=(",", ":")))
-        _, verified = unwrap_result(wrap_result({"y": 2, "x": 1}))
-        assert verified
+        assert unwrap_result(wrap_result({"y": 2, "x": 1})) \
+            == {"x": 1, "y": 2}
         assert len(a) == 16
 
 
@@ -167,16 +163,6 @@ class TestFaultPlan:
         with pytest.raises(GridInterrupt):
             plan.maybe_interrupt("grid:task")
         assert issubclass(GridInterrupt, KeyboardInterrupt)
-
-    def test_fires_counts_metrics(self):
-        previous = metrics_mod.set_registry(metrics_mod.MetricsRegistry())
-        try:
-            plan = FaultPlan({"torn_write": 1.0}, seed=0)
-            plan.fires("torn_write", "tok")
-            counters = metrics_mod.get_registry().snapshot()["counters"]
-            assert counters["faults.torn_write"] == 1
-        finally:
-            metrics_mod.set_registry(previous)
 
 
 class TestConfigRoundTrip:
@@ -282,14 +268,6 @@ class TestGridManifest:
         assert GridManifest.latest_incomplete(tmp_path / "absent") is None
 
 
-@pytest.fixture
-def recording_metrics():
-    registry = metrics_mod.MetricsRegistry()
-    previous = metrics_mod.set_registry(registry)
-    yield registry
-    metrics_mod.set_registry(previous)
-
-
 def _runner(tmp_path, **kwargs):
     # jobs=1 and no timeout keep every task on the in-process serial
     # path, where injected interrupts fire, whatever REPRO_JOBS or
@@ -300,21 +278,16 @@ def _runner(tmp_path, **kwargs):
 
 
 class TestRunnerCorruptionRecovery:
-    """Satellites: corrupt cache entries are metered, logged, quarantined
-    and regenerated — and a corrupted artifact never yields a wrong
-    result."""
+    """Corrupt cache entries are logged, quarantined and regenerated —
+    and a corrupted artifact never yields a wrong result."""
 
-    def test_corrupt_result_json_recovers(self, tmp_path,
-                                          recording_metrics):
+    def test_corrupt_result_json_recovers(self, tmp_path):
         config = presets.baseline()
         reference = _runner(tmp_path).run("bing", config).to_dict()
         [cache_file] = tmp_path.glob("*.json")
         cache_file.write_text("{not json at all")
         result = _runner(tmp_path).run("bing", config)
         assert result.to_dict() == reference
-        counters = recording_metrics.snapshot()["counters"]
-        assert counters["cache.corrupt"] >= 1
-        assert counters["cache.result.corrupt"] == 1
         quarantined = list((tmp_path / "quarantine").glob("*.quarantined"))
         assert len(quarantined) == 1
         assert quarantined[0].read_text() == "{not json at all"
@@ -324,9 +297,7 @@ class TestRunnerCorruptionRecovery:
         assert corrupt_records[0]["artifact"] == "result"
         assert corrupt_records[0]["quarantined"] == quarantined[0].name
         # the regenerated entry is valid again
-        payload, verified = unwrap_result(
-            next(tmp_path.glob("*.json")).read_text())
-        assert verified
+        payload = unwrap_result(next(tmp_path.glob("*.json")).read_text())
         assert SimResult.from_dict(payload).to_dict() == reference
 
     @pytest.mark.parametrize("mutate", [
@@ -342,7 +313,7 @@ class TestRunnerCorruptionRecovery:
                      id="flip-tail"),
     ])
     def test_result_corruption_never_yields_wrong_result(
-            self, tmp_path, recording_metrics, mutate):
+            self, tmp_path, mutate):
         config = presets.baseline()
         reference = _runner(tmp_path).run("bing", config).to_dict()
         [cache_file] = tmp_path.glob("*.json")
@@ -359,8 +330,7 @@ class TestRunnerCorruptionRecovery:
         pytest.param(lambda raw: raw[:-1] + bytes([raw[-1] ^ 0x01]),
                      id="flip-crc"),
     ])
-    def test_trace_corruption_regenerates(self, tmp_path,
-                                          recording_metrics, mutate):
+    def test_trace_corruption_regenerates(self, tmp_path, mutate):
         config = presets.baseline()
         reference = _runner(tmp_path).run("bing", config).to_dict()
         [trace_file] = (tmp_path / "traces").glob("*.espt")
@@ -369,20 +339,43 @@ class TestRunnerCorruptionRecovery:
         for result_file in tmp_path.glob("*.json"):
             result_file.unlink()  # force re-simulation off the bad trace
         assert _runner(tmp_path).run("bing", config).to_dict() == reference
-        counters = recording_metrics.snapshot()["counters"]
-        assert counters["cache.trace.corrupt"] >= 1
-        assert counters["cache.corrupt"] >= 1
+        summary = summarize(iter_records(tmp_path / "logs"))
+        assert summary["corrupt_by_artifact"] == {"trace": 1}
         assert list((tmp_path / "quarantine").glob("*.espt.*.quarantined"))
 
-    def test_legacy_bare_result_entry_still_loads(self, tmp_path):
+    def test_bare_result_entry_quarantined(self, tmp_path):
+        """An entry without the digest envelope under a current key is
+        damage or a foreign write: quarantined, logged and re-simulated,
+        never trusted."""
         config = presets.baseline()
         reference = _runner(tmp_path).run("bing", config)
         [cache_file] = tmp_path.glob("*.json")
-        # rewrite the entry as the pre-envelope layout (a bare dict)
         cache_file.write_text(json.dumps(reference.to_dict()))
         result = _runner(tmp_path).run("bing", config)
         assert result.to_dict() == reference.to_dict()
-        assert not (tmp_path / "quarantine").exists()
+        assert len(list((tmp_path / "quarantine").glob("*.quarantined"))) \
+            == 1
+        summary = summarize(iter_records(tmp_path / "logs"))
+        assert summary["corrupt_by_artifact"] == {"result": 1}
+        assert summary["simulated"] == 2
+        unwrap_result(cache_file.read_text())  # re-stored in an envelope
+
+    def test_corrupt_manifest_logged_on_rerun(self, tmp_path):
+        """A grid whose manifest fails its digest check quarantines it
+        through the runner, with a ``corrupt`` record for ``repro
+        stats``."""
+        pairs = [("bing", presets.baseline()), ("bing", presets.nl())]
+        _runner(tmp_path).run_many(pairs)
+        [manifest] = (tmp_path / "manifests").glob("grid-*.json")
+        manifest.write_text(manifest.read_text().replace("done", "dead"))
+        # one missing result makes the re-run start a fresh manifest
+        next(tmp_path.glob("*.json")).unlink()
+        _runner(tmp_path).run_many(pairs)
+        summary = summarize(iter_records(tmp_path / "logs"))
+        assert summary["corrupt_by_artifact"]["manifest"] == 1
+        assert list((tmp_path / "quarantine").glob(
+            "grid-*.json.*.quarantined"))
+        assert GridManifest.load(manifest).is_complete
 
 
 def _six_pairs():
